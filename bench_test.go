@@ -27,7 +27,10 @@ func runExperiment(b *testing.B, id string, metricCheck, metricUnit string) {
 	b.Helper()
 	var rep *Report
 	for i := 0; i < b.N; i++ {
-		rep = MustRun(id, benchMachine, true)
+		var err error
+		if rep, err = Run(id, benchMachine, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if rep == nil || !rep.Passed() {
 		for _, c := range rep.Checks {
@@ -121,23 +124,23 @@ func BenchmarkTable6_HartreeFock(b *testing.B) {
 }
 
 // BenchmarkFullReproduction runs every experiment once per iteration —
-// the whole paper in one number. RunAll fans the experiments out across
-// the host's CPUs; the sequential variant below is the one-worker
+// the whole paper in one number. RunSuite fans the experiments out
+// across the host's CPUs; the sequential variant below is the one-worker
 // baseline, so comparing the two benches measures the harness's own
 // parallel speedup on the current host.
 func BenchmarkFullReproduction(b *testing.B) {
-	benchRunAll(b, 0)
+	benchFullSuite(b, 0)
 }
 
 // BenchmarkFullReproductionSequential is the single-worker baseline.
 func BenchmarkFullReproductionSequential(b *testing.B) {
-	benchRunAll(b, 1)
+	benchFullSuite(b, 1)
 }
 
-func benchRunAll(b *testing.B, workers int) {
+func benchFullSuite(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		reports := RunAllParallel(benchMachine, true, workers)
+		reports := RunSuite(Experiments(), benchMachine, RunOptions{Quick: true, Workers: workers})
 		passed := 0
 		for _, r := range reports {
 			if r.Passed() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/canon"
-	"repro/internal/fault"
 	"repro/internal/memo"
 	"repro/internal/parallel"
 )
@@ -17,27 +16,23 @@ type CacheOptions struct {
 	MaxBytes int64
 	// Dir, when non-empty, enables the content-addressed on-disk store:
 	// cached reports persist as fingerprint-named files and warm up the
-	// next process (p8repro -cachedir). Derived machines stay
-	// memory-only — they are live object graphs, not bytes.
+	// next process (p8repro -cachedir).
 	Dir string
 }
 
-// SuiteCache memoizes the two hot recompute paths of a suite run:
-// whole experiment Reports (keyed by machine fingerprint, experiment
-// id, quick mode, fault plan and the kernel-runtime knobs) and
-// fault-plan derivation (see fault.Deriver). Both rest on the repo's
-// determinism contract: every engine result is a pure function of its
-// fingerprinted inputs, so a warm lookup and a recomputation are the
-// same bits. One SuiteCache is safe for concurrent use and may be
-// shared across RunSuite calls; that sharing is the point.
+// SuiteCache memoizes whole experiment Reports, keyed by machine
+// fingerprint, experiment id, quick mode, fault plan and the
+// kernel-runtime knobs. It rests on the repo's determinism contract:
+// every engine result is a pure function of its fingerprinted inputs,
+// so a warm lookup and a recomputation are the same bits. One
+// SuiteCache is safe for concurrent use and may be shared across
+// RunSuite calls; that sharing is the point.
 //
 // What is never cached: FAILED reports (panics, watchdog trips,
 // cancellations — failure is circumstance, not content), and any
 // report from an instrumented run (RunOptions.Stats non-nil), because
 // counters describe the execution that actually happened and a replay
-// would attribute stale counters to a run that did no work. Derivation
-// memoization stays active under instrumentation — a derived Machine
-// carries no counters.
+// would attribute stale counters to a run that did no work.
 //
 // Report bytes round-trip through JSON. For the deterministic model
 // experiments the cached report is bit-identical to a recomputation;
@@ -47,36 +42,23 @@ type CacheOptions struct {
 // re-measuring host noise is exactly the cost a warm run skips.
 type SuiteCache struct {
 	reports *memo.Cache
-	deriver *fault.Deriver
 }
 
 // NewSuiteCache builds a cache. reg, when non-nil, receives counters
-// under "memo/reports" and "memo/derive" (hits, misses, bytes,
-// evictions, singleflight waits, disk timings).
+// under "memo/reports" (hits, misses, bytes, evictions, singleflight
+// waits, disk timings).
 func NewSuiteCache(opts CacheOptions, reg *StatsRegistry) (*SuiteCache, error) {
 	maxBytes := opts.MaxBytes
 	if maxBytes == 0 {
 		maxBytes = 64 << 20
 	}
-	sc := &SuiteCache{
-		reports: memo.New("reports", maxBytes, reg),
-		deriver: fault.NewDeriver(maxBytes, reg),
-	}
+	sc := &SuiteCache{reports: memo.New("reports", maxBytes, reg)}
 	if opts.Dir != "" {
 		if err := sc.reports.SetDir(opts.Dir); err != nil {
 			return nil, err
 		}
 	}
 	return sc, nil
-}
-
-// Deriver returns the machine-derivation memoizer (valid on nil: a nil
-// deriver derives directly).
-func (sc *SuiteCache) Deriver() *fault.Deriver {
-	if sc == nil {
-		return nil
-	}
-	return sc.deriver
 }
 
 // Reports exposes the underlying report cache (stats and tests).
@@ -91,8 +73,8 @@ func (sc *SuiteCache) Reports() *memo.Cache {
 // content. Deliberately absent: the DES shard count (sharded and
 // sequential runs are bit-identical by contract — PR 6 — so a result
 // computed at any shard count serves every other), the worker count
-// (experiments are independent), retry policy and event budget (a
-// budget either trips — FAILED, never cached — or changes nothing).
+// (experiments are independent) and the event budget (a budget either
+// trips — FAILED, never cached — or changes nothing).
 func requestKey(m *Machine, e Experiment, opts RunOptions) canon.Fingerprint {
 	h := canon.NewHasher("power8/request/v1")
 	h.Fp(canon.Machine(m))
@@ -180,8 +162,9 @@ func (sc *SuiteCache) lookupOrRun(e Experiment, m *Machine, opts RunOptions, run
 	})
 	if computed != nil {
 		// This caller ran the experiment itself (cold miss, marshal
-		// failure, or a non-storable retry); hand back the live report
-		// rather than a decode of its own bytes.
+		// failure, or a rerun after another caller's failed compute);
+		// hand back the live report rather than a decode of its own
+		// bytes.
 		return computed, false
 	}
 	if err != nil {

@@ -9,17 +9,8 @@ package power8
 // is a whole suite:
 //
 //	go test -bench=BenchmarkSuiteColdVsWarm -benchtime=1x
-//
-// BenchmarkDeriveMemo isolates the second memoized hot path: fault-plan
-// derivation against the full E870 spec.
 
-import (
-	"sync/atomic"
-	"testing"
-
-	"repro/internal/arch"
-	"repro/internal/fault"
-)
+import "testing"
 
 func BenchmarkSuiteColdVsWarm(b *testing.B) {
 	m := NewE870()
@@ -54,43 +45,5 @@ func BenchmarkSuiteColdVsWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			RunSuite(suite, m, RunOptions{Quick: true})
 		}
-	})
-}
-
-// BenchmarkDeriveMemo compares raw fault-plan derivation against the
-// memoized deriver's hit path and reports the effective hit rate of a
-// degradation-suite-shaped access pattern (each of 8 distinct plans
-// derived 16 times).
-func BenchmarkDeriveMemo(b *testing.B) {
-	spec := arch.E870()
-	plans := make([]*fault.Plan, 8)
-	for i := range plans {
-		plans[i] = &fault.Plan{
-			Name:   "bench",
-			Events: []fault.Event{{Kind: fault.GuardCores, Chip: 0, N: i%4 + 1}},
-		}
-		if i >= 4 {
-			plans[i].Events[0].Kind = fault.LoseChannels
-		}
-	}
-
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plans[i%len(plans)].Derive(spec)
-		}
-	})
-
-	b.Run("memoized", func(b *testing.B) {
-		d := fault.NewDeriver(0, nil)
-		var derived atomic.Int64
-		for _, p := range plans {
-			d.Derive(p, spec) // prime: one real derivation per plan
-			derived.Add(1)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.Derive(plans[i%len(plans)], spec)
-		}
-		b.ReportMetric(float64(b.N)/float64(b.N+int(derived.Load()))*100, "hit%")
 	})
 }

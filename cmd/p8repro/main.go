@@ -17,7 +17,7 @@
 //	p8repro -faults guard:0:2    # ... or an explicit event-grammar plan
 //	p8repro -faultseed 7         # ... or a seeded random plan (reproducible)
 //	p8repro -shards 8            # DES simulations on 8 parallel shards
-//	p8repro -cache               # memoize reports and derivations in memory
+//	p8repro -cache               # memoize reports in memory
 //	p8repro -cachedir .p8cache   # ...and persist reports for warm re-runs
 //
 // -shards picks the shard count of the discrete-event simulations (the
@@ -29,9 +29,9 @@
 // the socket topology is rejected up front with exit status 2.
 //
 // -cache turns on content-addressed result memoization (see DESIGN.md
-// "Result memoization"): completed reports and derived fault machines
-// are keyed by canonical fingerprints of everything that determines
-// their content, so repeated runs inside one process reuse them.
+// "Result memoization"): completed reports are keyed by canonical
+// fingerprints of everything that determines their content, so
+// repeated runs inside one process reuse them.
 // -cachedir (which implies -cache) additionally persists reports to a
 // content-addressed directory, making a second p8repro invocation warm:
 // it reruns nothing whose inputs are unchanged. FAILED reports are
@@ -98,7 +98,7 @@ func run() int {
 		faults     = flag.String("faults", "", "run the degradation suite under this fault plan (canned name or event grammar)")
 		faultseed  = flag.Uint64("faultseed", 0, "run the degradation suite under a random fault plan derived from this seed (0 = off)")
 		shards     = flag.Int("shards", 0, "DES shard count for the simulated experiments (0 = auto, must divide the socket count)")
-		useCache   = flag.Bool("cache", false, "memoize reports and fault derivations in memory")
+		useCache   = flag.Bool("cache", false, "memoize reports in memory")
 		cacheDir   = flag.String("cachedir", "", "persist cached reports to this directory for warm re-runs (implies -cache)")
 	)
 	flag.Parse()
@@ -138,7 +138,7 @@ func run() int {
 	}
 	// The cache is built after the registry so its hit/miss counters land
 	// under the observed run's root. With -stats, report reuse is
-	// bypassed by the harness; the derivation memoizer still works.
+	// bypassed by the harness.
 	var cache *power8.SuiteCache
 	if *useCache || *cacheDir != "" {
 		var err error

@@ -27,14 +27,6 @@
 // (canned plan name or event grammar) and answers the queries against
 // it instead of the healthy E870.
 //
-// -cache routes that derivation through the memoizing fault.Deriver
-// (content-addressed, deduplicated — see DESIGN.md "Result
-// memoization"), and -cachedir (implying -cache) points the cache at
-// the same on-disk store p8repro uses, so the two tools share one
-// directory without conflict. Derived machines are live object graphs
-// and stay memory-only; the flags exist here for parity and so scripts
-// can pass one cache configuration to both binaries.
-//
 // Query parameters are validated up front against the machine spec:
 // out-of-range values get a one-line message plus the usage text and
 // exit status 2 instead of a model panic.
@@ -65,21 +57,19 @@ func main() {
 		doRoofline = flag.Bool("roofline", false, "roofline bound at an operational intensity")
 		doChase    = flag.Bool("chase", false, "simulate a dependent-load pointer chase")
 
-		from     = flag.Int("from", 0, "requesting chip")
-		to       = flag.Int("to", 0, "memory home chip")
-		reads    = flag.Float64("reads", 2, "read parts of the mix")
-		writes   = flag.Float64("writes", 1, "write parts of the mix")
-		threads  = flag.Int("threads", 8, "threads per core")
-		lists    = flag.Int("lists", 4, "concurrent lists per thread")
-		fmas     = flag.Int("fmas", 12, "independent FMAs per loop")
-		oi       = flag.Float64("oi", 1.0, "operational intensity (FLOP/byte)")
-		ws       = flag.Int64("ws", 32<<20, "chase working set in bytes")
-		huge     = flag.Bool("huge", false, "use 16 MiB pages for the chase")
-		stats    = flag.Bool("stats", false, "print simulation counters after the queries")
-		faults   = flag.String("faults", "", "answer against a degraded machine derived through this fault plan")
-		shards   = flag.Int("shards", 0, "DES shard count for the -random cross-check (0 = auto, must divide the socket count)")
-		useCache = flag.Bool("cache", false, "memoize the -faults machine derivation")
-		cacheDir = flag.String("cachedir", "", "content-addressed cache directory shared with p8repro (implies -cache)")
+		from    = flag.Int("from", 0, "requesting chip")
+		to      = flag.Int("to", 0, "memory home chip")
+		reads   = flag.Float64("reads", 2, "read parts of the mix")
+		writes  = flag.Float64("writes", 1, "write parts of the mix")
+		threads = flag.Int("threads", 8, "threads per core")
+		lists   = flag.Int("lists", 4, "concurrent lists per thread")
+		fmas    = flag.Int("fmas", 12, "independent FMAs per loop")
+		oi      = flag.Float64("oi", 1.0, "operational intensity (FLOP/byte)")
+		ws      = flag.Int64("ws", 32<<20, "chase working set in bytes")
+		huge    = flag.Bool("huge", false, "use 16 MiB pages for the chase")
+		stats   = flag.Bool("stats", false, "print simulation counters after the queries")
+		faults  = flag.String("faults", "", "answer against a degraded machine derived through this fault plan")
+		shards  = flag.Int("shards", 0, "DES shard count for the -random cross-check (0 = auto, must divide the socket count)")
 	)
 	flag.Parse()
 
@@ -119,15 +109,6 @@ func main() {
 		reg = obs.NewRegistry("p8sim")
 	}
 
-	var cache *power8.SuiteCache
-	if *useCache || *cacheDir != "" {
-		c, err := power8.NewSuiteCache(power8.CacheOptions{Dir: *cacheDir}, reg)
-		if err != nil {
-			fail(err)
-		}
-		cache = c
-	}
-
 	m := power8.NewE870()
 	if *faults != "" {
 		plan, err := fault.Parse(*faults)
@@ -137,8 +118,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// A nil deriver (no -cache) derives directly.
-		m = cache.Deriver().Derive(plan, spec)
+		m = plan.Derive(spec)
 		fmt.Printf("machine: %s\n", m.Spec.Name)
 	}
 	ran := false

@@ -4,6 +4,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro"
 	"repro/internal/memsys"
@@ -27,7 +28,10 @@ func main() {
 	fmt.Printf("random access, SMT8 x 4:   %v\n", m.RandomAccessBandwidth(8, 4))
 
 	fmt.Println("\n== Regenerate Table III ==")
-	rep := power8.MustRun("table3", m, false)
+	rep, err := power8.Run("table3", m, false)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, line := range rep.Lines {
 		fmt.Println(line)
 	}

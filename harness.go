@@ -25,8 +25,7 @@ type FaultPlan = fault.Plan
 func FaultExperiments() []Experiment { return experiments.DegradationSuite() }
 
 // RunOptions configures a hardened suite run. The zero value runs the
-// suite the way RunAll always has: all CPUs, no instrumentation, no
-// watchdog, no retries.
+// suite on all CPUs with no instrumentation, no watchdog and no cache.
 type RunOptions struct {
 	// Quick shrinks working sets and scales for fast runs.
 	Quick bool
@@ -34,10 +33,10 @@ type RunOptions struct {
 	Workers int
 	// Stats, when non-nil, instruments the run: every experiment gets a
 	// child scope keyed by its id, and the harness's own counters
-	// (panics recovered, watchdog trips, cancellations, retries) land
-	// under a "harness" scope.
+	// (panics recovered, watchdog trips, cancellations) land under a
+	// "harness" scope.
 	Stats *StatsRegistry
-	// EventBudget bounds each experiment attempt: every simulated event
+	// EventBudget bounds each experiment: every simulated event
 	// (DES dispatch or walker access) charges one unit, and exhaustion
 	// aborts the experiment with a failed report instead of hanging the
 	// suite. 0 means unlimited.
@@ -46,13 +45,6 @@ type RunOptions struct {
 	// experiments trip at their next budget poll, experiments that have
 	// not started return cancelled reports immediately.
 	Cancel <-chan struct{}
-	// Retries re-runs a failed experiment up to this many extra times —
-	// but only experiments marked Retryable; deterministic model
-	// experiments would fail identically and are never retried.
-	Retries int
-	// RetryBackoff is the pause before the first retry; it doubles on
-	// each subsequent attempt (deterministic, no jitter).
-	RetryBackoff time.Duration
 	// Faults selects the degradation plan for the fault-suite
 	// experiments (nil falls back to their canned default). The paper
 	// suite ignores it.
@@ -64,16 +56,14 @@ type RunOptions struct {
 	// knob only — every legal value yields bit-identical reports.
 	Shards int
 	// Cache, when non-nil, memoizes the run: completed reports are
-	// served from (and stored into) the content-addressed result cache,
-	// and fault-plan derivation inside the deg-* experiments is
-	// deduplicated and reused. FAILED reports are never stored. Report
-	// caching is bypassed when Stats is non-nil — counters describe the
-	// execution that actually happened — but derivation memoization
-	// stays on. Like Shards, the cache is a wall-time knob only: warm
+	// served from (and stored into) the content-addressed result cache.
+	// FAILED reports are never stored. The cache is bypassed when Stats
+	// is non-nil — counters describe the execution that actually
+	// happened. Like Shards, the cache is a wall-time knob only: warm
 	// and cold runs return the same bits.
 	Cache *SuiteCache
 	// OnReport, when non-nil, is called once per experiment as its
-	// report becomes final (after the retry loop and the cache layer),
+	// report becomes final (after the cache layer),
 	// from the worker goroutine that produced it and in completion
 	// order — the returned slice is still in suite order. index is the
 	// experiment's position in the suite; fromCache reports whether the
@@ -87,9 +77,11 @@ type RunOptions struct {
 // RunSuite executes a set of experiments against one machine under the
 // hardened harness contract: every experiment runs isolated (a panic
 // becomes that experiment's failed report, the rest of the suite is
-// unaffected), optionally watched (event budget, cancellation) and
-// optionally retried. Reports come back in suite order regardless of
-// completion order, one per experiment, always.
+// unaffected) and optionally watched (event budget, cancellation).
+// Reports come back in suite order regardless of completion order, one
+// per experiment, always. The Machine is read-only after construction,
+// so one machine is safely shared by every worker and a parallel run
+// produces the same reports as a sequential one.
 func RunSuite(suite []Experiment, m *Machine, opts RunOptions) []*Report {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -114,42 +106,18 @@ func RunSuite(suite []Experiment, m *Machine, opts RunOptions) []*Report {
 }
 
 // runHardened serves one experiment through the result cache when one
-// is configured (and the run is uninstrumented), falling back to the
-// attempt loop on a miss; without a cache it is the attempt loop. The
-// second return reports whether the cache supplied the report.
+// is configured (and the run is uninstrumented), running it on a miss;
+// without a cache it just runs it. The second return reports whether
+// the cache supplied the report.
 func runHardened(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, broker *cancelBroker, recordAllocs bool) (*Report, bool) {
-	run := func() *Report { return runAttempts(e, m, opts, h, broker, recordAllocs) }
+	run := func() *Report { return runAttempt(e, m, opts, h, broker, recordAllocs) }
 	if opts.Cache == nil || opts.Stats != nil {
 		return run(), false
 	}
 	return opts.Cache.lookupOrRun(e, m, opts, run)
 }
 
-// runAttempts is one experiment's attempt loop: run, and for retryable
-// experiments re-run failures up to the retry bound with doubling
-// backoff.
-func runAttempts(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, broker *cancelBroker, recordAllocs bool) *Report {
-	attempts := 1
-	if e.Retryable && opts.Retries > 0 {
-		attempts += opts.Retries
-	}
-	var rep *Report
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			h.Counter("retries").Inc()
-			if opts.RetryBackoff > 0 {
-				time.Sleep(opts.RetryBackoff << (attempt - 1))
-			}
-		}
-		rep = runAttempt(e, m, opts, h, broker, recordAllocs)
-		if !rep.Failed() {
-			break
-		}
-	}
-	return rep
-}
-
-// runAttempt executes one isolated attempt with a fresh watchdog
+// runAttempt executes one experiment isolated, with a fresh watchdog
 // budget and its own registry scope.
 func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, broker *cancelBroker, recordAllocs bool) *Report {
 	var budget *engine.Budget
@@ -173,7 +141,6 @@ func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, brok
 		Budget:  budget,
 		Faults:  opts.Faults,
 		Shards:  opts.Shards,
-		Deriver: opts.Cache.Deriver(),
 	}, h)
 	if opts.Stats != nil {
 		hs := scope.Child("harness")
@@ -189,7 +156,7 @@ func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, brok
 	return rep
 }
 
-// safeRun executes one experiment attempt, converting panics into
+// safeRun executes one experiment, converting panics into
 // failed reports so one broken experiment cannot take down the suite: a
 // tripped watchdog (engine.Trip) becomes a deterministic one-line
 // diagnostic, any other panic keeps its value and stack. This wrapper

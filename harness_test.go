@@ -1,14 +1,13 @@
 package power8
 
 // Tests for the hardened harness: panic isolation, the event-budget
-// watchdog, cancellation fan-out, deterministic retries, and the
-// reproducibility of fault-degraded runs.
+// watchdog, cancellation fan-out, and the reproducibility of
+// fault-degraded runs.
 
 import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -114,54 +113,6 @@ func TestRunSuiteWatchdogTripsRealExperiment(t *testing.T) {
 	rep := reports[0]
 	if !rep.Failed() || !strings.Contains(rep.Err, "event budget exhausted") {
 		t.Errorf("figure2 under a 1000-event budget: Err = %q", rep.Err)
-	}
-}
-
-// TestRunSuiteRetries: a retryable experiment that fails once succeeds
-// on the retry; a non-retryable one is never re-run.
-func TestRunSuiteRetries(t *testing.T) {
-	attempts := 0
-	flaky := Experiment{
-		ID: "flaky", Title: "fails once", Retryable: true,
-		Run: func(*experiments.Context) *experiments.Report {
-			attempts++
-			if attempts == 1 {
-				panic("transient")
-			}
-			return &experiments.Report{ID: "flaky", Title: "fails once"}
-		},
-	}
-	root := NewStatsRegistry("test")
-	reports := RunSuite([]Experiment{flaky}, NewE870(), RunOptions{
-		Workers: 1, Retries: 2, RetryBackoff: time.Microsecond, Stats: root,
-	})
-	if rep := reports[0]; rep.Failed() {
-		t.Errorf("flaky experiment failed despite retry: %s", rep.Err)
-	}
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (fail, then succeed)", attempts)
-	}
-	h := root.Child("harness")
-	if got := h.Counter("retries").Load(); got != 1 {
-		t.Errorf("retries = %d, want 1", got)
-	}
-	if got := h.Counter("panics_recovered").Load(); got != 1 {
-		t.Errorf("panics_recovered = %d, want 1", got)
-	}
-
-	attempts = 0
-	stubborn := flaky
-	stubborn.Retryable = false
-	stubborn.Run = func(*experiments.Context) *experiments.Report {
-		attempts++
-		panic("deterministic failure")
-	}
-	reports = RunSuite([]Experiment{stubborn}, NewE870(), RunOptions{Workers: 1, Retries: 2})
-	if rep := reports[0]; !rep.Failed() {
-		t.Error("non-retryable failure came back as success")
-	}
-	if attempts != 1 {
-		t.Errorf("non-retryable experiment ran %d times, want 1", attempts)
 	}
 }
 

@@ -24,8 +24,7 @@ func DegradationSuite() []Experiment {
 	}
 }
 
-// derive applies a single-event plan to the context's machine spec,
-// through the context's memoizing deriver when one is configured.
+// derive applies a single-event plan to the context's machine spec.
 func derive(ctx *Context, name string, e fault.Event) *machine.Machine {
 	p := &fault.Plan{Name: name, Events: []fault.Event{e}}
 	p.Publish(ctx.Obs)

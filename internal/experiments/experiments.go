@@ -50,22 +50,13 @@ type Context struct {
 	// machine.AutoShards. Any legal value produces bit-identical
 	// results — the knob trades wall time, never output.
 	Shards int
-	// Deriver, when non-nil, memoizes fault-plan derivation: the deg-*
-	// experiments repeatedly derive the same degraded machines (within
-	// a suite and across warm suite runs), and derivation is a pure
-	// function of (plan, spec, calibration), so identical requests
-	// share one frozen Machine. Nil derives directly. Like Shards this
-	// is a wall-time knob only: a memoized and a direct derivation are
-	// the same bits.
-	Deriver *fault.Deriver
 }
 
 // Derive builds the degraded machine for a plan against this context's
-// machine — through the memoizing deriver when one is configured, with
-// the machine's own calibration profiles either way.
+// machine, with the machine's own calibration profiles.
 func (ctx *Context) Derive(p *fault.Plan) *machine.Machine {
 	m := ctx.Machine
-	return ctx.Deriver.DeriveWithCalibration(p, m.Spec, m.Net.Calibration(), m.Mem.Calibration())
+	return p.DeriveWithCalibration(m.Spec, m.Net.Calibration(), m.Mem.Calibration())
 }
 
 // Check is one paper-vs-produced comparison.
@@ -202,12 +193,6 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(*Context) *Report
-	// Retryable marks an experiment whose failures may be transient
-	// (e.g. host-measured kernels perturbed by machine load); the
-	// harness's opt-in retry policy only ever re-runs retryable
-	// experiments. Model-driven experiments are deterministic, so a
-	// retry would fail identically and stays off.
-	Retryable bool
 }
 
 var registry []Experiment

@@ -2,7 +2,7 @@ package experiments
 
 // Concurrency-safety test for the experiment registry and the shared
 // Machine: the simulated experiments run together on one Machine via
-// parallel.Map, exactly as power8.RunAllParallel drives them. Under
+// parallel.Map, exactly as power8.RunSuite drives them. Under
 // `go test -race ./internal/...` this verifies the machine model's
 // read-only-after-construction contract, and the content comparison
 // against a sequential pass verifies report determinism.

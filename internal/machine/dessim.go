@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -22,26 +21,15 @@ import (
 // calibration constants the analytic model uses (the unloaded random
 // latency and the saturated random bandwidth), so agreement between the
 // two engines validates the queueing structure, not just the constants.
+//
+// The experiments run the socket-resolved SimulateRandomAccessSharded
+// instead. This pooled model stays because it is the only reference
+// that tracks the analytic model below saturation: the sharded model's
+// remote hops and per-socket bank pools put it at 0.49-0.76x of the
+// analytic bandwidth below saturation and 0.95x from 4x8 up (DESIGN.md
+// "Calibration and validity"), while this one stays within 25% at
+// every point (TestDESMatchesAnalyticModel).
 func (m *Machine) SimulateRandomAccess(threads, streams int, horizonNs float64) units.Bandwidth {
-	return m.SimulateRandomAccessObs(threads, streams, horizonNs, nil)
-}
-
-// SimulateRandomAccessObs is SimulateRandomAccess publishing the
-// simulation's internals into a registry scope "des": events dispatched
-// and scheduled, the event-queue high-water mark, load completions, the
-// derived bank configuration and the banks' mean utilization (in
-// permille, since counters and gauges are integers). A nil registry
-// makes it identical to SimulateRandomAccess.
-func (m *Machine) SimulateRandomAccessObs(threads, streams int, horizonNs float64, reg *obs.Registry) units.Bandwidth {
-	return m.SimulateRandomAccessRun(threads, streams, horizonNs, reg, nil)
-}
-
-// SimulateRandomAccessRun is SimulateRandomAccessObs with a watchdog
-// budget attached to the event loop: every dispatched event charges one
-// unit, and an exhausted or cancelled budget aborts the simulation with
-// an engine.Trip panic for the harness's isolation wrapper to catch. A
-// nil budget runs unwatched.
-func (m *Machine) SimulateRandomAccessRun(threads, streams int, horizonNs float64, reg *obs.Registry, budget *engine.Budget) units.Bandwidth {
 	if threads <= 0 || streams <= 0 || horizonNs <= 0 {
 		panic(fmt.Sprintf("machine: invalid DES parameters %d/%d/%g", threads, streams, horizonNs))
 	}
@@ -70,7 +58,6 @@ func (m *Machine) SimulateRandomAccessRun(threads, streams int, horizonNs float6
 	chasers := perCore * m.Spec.TotalCores()
 
 	var sim engine.Sim
-	sim.SetBudget(budget)
 	// Individually addressed banks: a random access targets a specific
 	// bank, so conflicts appear at birthday-paradox rates long before
 	// the aggregate pool saturates — the effect behind the analytic
@@ -102,17 +89,5 @@ func (m *Machine) SimulateRandomAccessRun(threads, streams int, horizonNs float6
 		sim.At(engine.Time(offset), issue)
 	}
 	sim.Run(engine.Time(horizonNs))
-	if reg != nil {
-		des := reg.Child("des")
-		sim.PublishStats(des)
-		des.Counter("completions").Add(completions)
-		des.Gauge("banks").Set(int64(banks))
-		des.Gauge("chasers").Set(int64(chasers))
-		var busy float64
-		for _, b := range mem {
-			busy += b.Utilization(&sim)
-		}
-		des.Gauge("bank_utilization_permille").Set(int64(1000 * busy / float64(banks)))
-	}
 	return units.Bandwidth(float64(completions) * trace.LineSize / (horizonNs * 1e-9))
 }

@@ -44,7 +44,7 @@ func AutoShards(spec *arch.SystemSpec, maxWorkers int) int {
 // (fabric.MinCrossLatencyNs), so it widens automatically when fewer,
 // larger shards leave only expensive A-bus pairs on the boundary.
 //
-// The model is socket-resolved where SimulateRandomAccessRun pools the
+// The model is socket-resolved where SimulateRandomAccess pools the
 // whole machine: each socket owns its share of the calibrated bank
 // pool, its chasers target a uniformly random socket per access, and
 // remote accesses pay the fabric's hop latency each way on top of the

@@ -30,16 +30,30 @@ func TestDESMatchesAnalyticModel(t *testing.T) {
 	}
 }
 
-// TestDESMonotone: bandwidth is non-decreasing in concurrency.
+// TestDESMonotone: bandwidth is non-decreasing in concurrency, for the
+// pooled reference model and for the sharded model the experiments run
+// (at shards=1; every shard count is bit-identical).
 func TestDESMonotone(t *testing.T) {
 	m := e870()
-	prev := 0.0
-	for _, streams := range []int{1, 2, 4, 8} {
-		got := m.SimulateRandomAccess(4, streams, 100_000).GBps()
-		if got+1 < prev {
-			t.Errorf("DES bandwidth fell at %d streams: %.0f after %.0f", streams, got, prev)
+	for _, model := range []struct {
+		name string
+		bw   func(streams int) float64
+	}{
+		{"pooled", func(streams int) float64 {
+			return m.SimulateRandomAccess(4, streams, 100_000).GBps()
+		}},
+		{"sharded", func(streams int) float64 {
+			return m.SimulateRandomAccessSharded(4, streams, 100_000, 1, nil, nil).GBps()
+		}},
+	} {
+		prev := 0.0
+		for _, streams := range []int{1, 2, 4, 8} {
+			got := model.bw(streams)
+			if got+1 < prev {
+				t.Errorf("%s DES bandwidth fell at %d streams: %.0f after %.0f", model.name, streams, got, prev)
+			}
+			prev = got
 		}
-		prev = got
 	}
 }
 

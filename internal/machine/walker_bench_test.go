@@ -92,14 +92,16 @@ func BenchmarkWalkerChaseObserved(b *testing.B) {
 	}, 50000, obs.NewRegistry("bench"))
 }
 
-// BenchmarkSimulateRandomAccessObserved is BenchmarkSimulateRandomAccess
-// publishing the DES engine's counters after every simulation.
+// BenchmarkSimulateRandomAccessObserved runs the sequential sharded DES
+// (shards=1, the engine the experiments run) at the same operating
+// point, publishing the engine's counters after every simulation; its
+// uninstrumented baseline is BenchmarkDESSharded512/shards=1.
 func BenchmarkSimulateRandomAccessObserved(b *testing.B) {
 	m := New(arch.E870())
 	reg := obs.NewRegistry("bench")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SimulateRandomAccessObs(8, 4, 50000, reg)
+		m.SimulateRandomAccessSharded(8, 4, 50000, 1, reg, nil)
 	}
 }

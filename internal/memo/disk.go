@@ -18,7 +18,7 @@ import (
 // before the cache degrades to memory-only behavior for that entry.
 const (
 	diskWriteAttempts = 3
-	diskRetryBackoff  = 2 * time.Millisecond
+	diskWriteBackoff  = 2 * time.Millisecond
 )
 
 // diskStore is a content-addressed directory of results: each entry is
@@ -193,7 +193,7 @@ func (c *Cache) diskWrite(key canon.Fingerprint, data []byte) {
 	for attempt := 0; attempt < diskWriteAttempts; attempt++ {
 		if attempt > 0 {
 			disk.Counter("retries").Inc()
-			c.disk.sleep(time.Duration(attempt) * diskRetryBackoff)
+			c.disk.sleep(time.Duration(attempt) * diskWriteBackoff)
 		}
 		if err = c.disk.write(key, data); err == nil {
 			break

@@ -204,8 +204,8 @@ func TestDiskWriteRetries(t *testing.T) {
 	if got := disk.Counter("retries").Load(); got != 1 {
 		t.Errorf("retries = %d, want 1", got)
 	}
-	if len(slept) != 1 || slept[0] != diskRetryBackoff {
-		t.Errorf("backoff schedule %v, want [%v]", slept, diskRetryBackoff)
+	if len(slept) != 1 || slept[0] != diskWriteBackoff {
+		t.Errorf("backoff schedule %v, want [%v]", slept, diskWriteBackoff)
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -114,7 +115,7 @@ type streamTrailer struct {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/jobs               submit a job            202 | 400 | 429 | 503
+//	POST /v1/jobs               submit a job            202 | 400 | 413 | 429 | 503
 //	GET  /v1/jobs               list jobs               200
 //	GET  /v1/jobs/{id}          poll one job (?wait=5s) 200 | 404
 //	GET  /v1/jobs/{id}/reports  canonical results       200 | 404 | 409
@@ -162,12 +163,21 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorBody{Error: msg, Status: code})
 }
 
+// maxRequestBytes caps a POST /v1/jobs body. The largest legitimate
+// request (every experiment id plus a long fault plan) is a few KiB.
+const maxRequestBytes = 1 << 20
+
 // handleSubmit is POST /v1/jobs.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}

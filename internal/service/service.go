@@ -49,9 +49,8 @@ type Options struct {
 	// Each job's internal experiment parallelism is the request's own
 	// Workers field — this knob is across jobs, that one within.
 	Workers int
-	// Cache, when non-nil, memoizes reports and fault derivations
-	// across jobs; identical requests are served bit-identically from
-	// it. Sharing one cache across the whole service is the point.
+	// Cache, when non-nil, memoizes reports across jobs; identical
+	// requests are served bit-identically from it. Sharing one cache across the whole service is the point.
 	Cache *power8.SuiteCache
 	// Stats, when non-nil, receives the service's own counters under a
 	// "p8d" child scope (admission, rejections, completions, cache

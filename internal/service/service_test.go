@@ -135,6 +135,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge: a body past the cap is answered 413 in the
+// error envelope, and nothing is admitted.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	svc, ts := newTestServer(t, Options{})
+	body := `{"faults": "` + strings.Repeat("x", maxRequestBytes) + `"}`
+	code, b := post(t, ts.URL, body)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("got %d, want 413; body: %s", code, b)
+	}
+	var e errorBody
+	if err := json.Unmarshal(b, &e); err != nil {
+		t.Fatalf("error envelope: %v (body: %s)", err, b)
+	}
+	if e.Status != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, "exceeds") {
+		t.Errorf("envelope = %+v", e)
+	}
+	if n := len(svc.Jobs()); n != 0 {
+		t.Errorf("%d jobs admitted from an oversized body, want 0", n)
+	}
+}
+
 // TestUnknownJob: every job-scoped endpoint answers 404 with the error
 // envelope for an id that was never issued.
 func TestUnknownJob(t *testing.T) {

@@ -4,8 +4,8 @@
 // (m.Spec = ...) nor deeper into the spec/fabric/memory objects it
 // points at (m.Spec.Latency.LocalDRAMNs = ...) — and no code may
 // construct a Machine literal instead of calling machine.New. This is
-// the invariant that makes RunAllParallel race-free: one Machine is
-// shared by every concurrently running experiment.
+// the invariant that makes a parallel RunSuite race-free: one Machine
+// is shared by every concurrently running experiment.
 //
 // Deviations are suppressed per line with
 // `//p8:allow frozenmachine: <why>`.

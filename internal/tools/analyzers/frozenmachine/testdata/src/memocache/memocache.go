@@ -1,9 +1,8 @@
 // Package memocache is a golden stand-in for a result cache handing
-// out shared machine.Machine values (the internal/fault Deriver): a
-// cached machine is served to many concurrent experiments at once, so
-// the read-only contract is what makes sharing race-free. Writes
-// through a machine pulled out of a cache are flagged exactly like
-// writes through a freshly built one.
+// out shared machine.Machine values: a cached machine is served to
+// many concurrent experiments at once, so the read-only contract is
+// what makes sharing race-free. Writes through a machine pulled out of
+// a cache are flagged exactly like writes through a freshly built one.
 package memocache
 
 import "machine"

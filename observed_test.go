@@ -9,15 +9,23 @@ package power8
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/experiments"
 )
+
+// observedSuite runs the quick paper suite instrumented on workers
+// goroutines, each experiment in its own child scope of a fresh root.
+func observedSuite(m *Machine, workers int) []*Report {
+	return RunSuite(Experiments(), m, RunOptions{Quick: true, Workers: workers, Stats: NewStatsRegistry("run")})
+}
 
 func TestRunObservedAttachesStats(t *testing.T) {
 	m := NewE870()
-	root := NewStatsRegistry("run")
-	rep, err := RunObserved("figure2", m, true, root)
-	if err != nil {
-		t.Fatal(err)
+	exp, ok := experiments.ByID("figure2")
+	if !ok {
+		t.Fatal("figure2 not registered")
 	}
+	rep := RunSuite([]Experiment{exp}, m, RunOptions{Quick: true, Workers: 1, Stats: NewStatsRegistry("run")})[0]
 	if rep.Stats == nil {
 		t.Fatal("observed run left Report.Stats nil")
 	}
@@ -57,8 +65,7 @@ func statsByID(t *testing.T, reps []*Report) map[string]map[string]uint64 {
 // path under contention.
 func TestRunAllObservedParallelSmoke(t *testing.T) {
 	m := NewE870()
-	reps := RunAllObserved(m, true, 8, NewStatsRegistry("run"))
-	for _, r := range reps {
+	for _, r := range observedSuite(m, 8) {
 		if r.Stats == nil {
 			t.Fatalf("%s: observed run left Stats nil", r.ID)
 		}
@@ -70,9 +77,9 @@ func TestObservedCountersDeterministicAndIsolated(t *testing.T) {
 		t.Skip("runs the full quick suite three times")
 	}
 	m := NewE870()
-	seq1 := statsByID(t, RunAllObserved(m, true, 1, NewStatsRegistry("run")))
-	seq2 := statsByID(t, RunAllObserved(m, true, 1, NewStatsRegistry("run")))
-	par := statsByID(t, RunAllObserved(m, true, 8, NewStatsRegistry("run")))
+	seq1 := statsByID(t, observedSuite(m, 1))
+	seq2 := statsByID(t, observedSuite(m, 1))
+	par := statsByID(t, observedSuite(m, 8))
 
 	// Determinism: two identical sequential runs produce identical
 	// counter values, experiment by experiment.

@@ -1,7 +1,7 @@
 package power8
 
 // Determinism and safety tests for the parallel experiment harness: a
-// concurrent RunAll must deliver the reports in the paper's order with
+// concurrent RunSuite over the paper suite must deliver the reports in the paper's order with
 // the same content a sequential run produces. Run under -race this also
 // exercises the Machine read-only-after-construction contract.
 
@@ -29,8 +29,8 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 		t.Skip("runs the full quick suite twice")
 	}
 	m := NewE870()
-	seq := RunAllParallel(m, true, 1)
-	par := RunAllParallel(m, true, 8)
+	seq := RunSuite(Experiments(), m, RunOptions{Quick: true, Workers: 1})
+	par := RunSuite(Experiments(), m, RunOptions{Quick: true, Workers: 8})
 
 	if len(seq) != len(par) {
 		t.Fatalf("sequential produced %d reports, parallel %d", len(seq), len(par))

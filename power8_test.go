@@ -38,15 +38,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestMustRunPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun did not panic")
-		}
-	}()
-	MustRun("nope", NewE870(), true)
-}
-
 func TestExperimentsRegistry(t *testing.T) {
 	if got := len(Experiments()); got != 18 {
 		t.Errorf("registry size = %d, want 18 (tables I-VI + figures 1-12)", got)
@@ -57,7 +48,7 @@ func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
-	reports := RunAll(NewE870(), true)
+	reports := RunSuite(Experiments(), NewE870(), RunOptions{Quick: true})
 	if len(reports) != 18 {
 		t.Fatalf("reports = %d", len(reports))
 	}
