@@ -173,7 +173,7 @@ func (s *Sim) dispatch(ev scheduled) {
 		ev.release.release(s)
 	}
 	if ev.call != nil {
-		ev.call(s) //p8:allow hotpathdeep: the scheduled callback is the DES's payload — event dispatch is necessarily indirect; hot callbacks carry their own annotations
+		ev.call(s) //p8:allow hotpath: the scheduled callback is the DES's payload — event dispatch is necessarily indirect; hot callbacks carry their own annotations
 	}
 }
 

@@ -75,12 +75,12 @@ func runTable6(ctx *Context) *Report {
 	}
 	spec := hf.TableV()[3].Scaled(maxFuncs) // 1hsg-28, shrunk
 	mol := spec.Build()
-	comp, err := hf.Run(mol, hf.Config{Mode: hf.HFComp, Threads: ctx.Threads, ScreenTol: screenTol}) //p8:allow determdeep: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
+	comp, err := hf.Run(mol, hf.Config{Mode: hf.HFComp, Threads: ctx.Threads, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
 	if err != nil {
 		r.Note("host SCF failed: %v", err)
 		return r
 	}
-	mem, err := hf.Run(mol, hf.Config{Mode: hf.HFMem, Threads: ctx.Threads, ScreenTol: screenTol}) //p8:allow determdeep: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
+	mem, err := hf.Run(mol, hf.Config{Mode: hf.HFMem, Threads: ctx.Threads, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
 	if err != nil {
 		r.Note("host SCF failed: %v", err)
 		return r

@@ -123,7 +123,7 @@ func (w *Walker) home(addr uint64) arch.ChipID {
 	if w.cfg.Home == nil {
 		return w.cfg.Chip
 	}
-	return w.cfg.Home(addr) //p8:allow hotpathdeep: the address-homing policy is configuration — a pure arithmetic map fixed at construction; indirection here is the design
+	return w.cfg.Home(addr) //p8:allow hotpath: the address-homing policy is configuration — a pure arithmetic map fixed at construction; indirection here is the design
 }
 
 // dramLatency returns the DRAM demand latency for an access, accounting

@@ -204,7 +204,7 @@ func (j *teamJob) run(w int) {
 				if instrumented {
 					j.noteChunk(w, hi-lo)
 				}
-				j.body(w, lo, hi) //p8:allow hotpathdeep: the body IS the team's payload — dispatch is necessarily indirect; hot kernels annotate their own bodies
+				j.body(w, lo, hi) //p8:allow hotpath: the body IS the team's payload — dispatch is necessarily indirect; hot kernels annotate their own bodies
 			}
 		}
 		return
@@ -223,7 +223,7 @@ func (j *teamJob) run(w int) {
 		if instrumented {
 			j.noteChunk(w, end-int(start))
 		}
-		j.body(w, int(start), end) //p8:allow hotpathdeep: the body IS the team's payload — dispatch is necessarily indirect; hot kernels annotate their own bodies
+		j.body(w, int(start), end) //p8:allow hotpath: the body IS the team's payload — dispatch is necessarily indirect; hot kernels annotate their own bodies
 	}
 }
 
@@ -308,7 +308,7 @@ func (t *Team) dispatch(n, grain int, bounds []int, body func(worker, lo, hi int
 		// Inline when one worker (or one chunk) covers the whole range:
 		// no cross-goroutine handoff, deterministic ascending order.
 		if t.workers == 1 || n <= grain {
-			body(0, 0, n) //p8:allow hotpathdeep: inline single-worker dispatch of the caller-supplied body — necessarily indirect; hot kernels annotate their own bodies
+			body(0, 0, n) //p8:allow hotpath: inline single-worker dispatch of the caller-supplied body — necessarily indirect; hot kernels annotate their own bodies
 			if st != nil {
 				st.recordInline(1, uint64(n))
 			}
@@ -318,7 +318,7 @@ func (t *Team) dispatch(n, grain int, bounds []int, body func(worker, lo, hi int
 		var parts, items uint64
 		for p := 0; p+1 < len(bounds); p++ {
 			if bounds[p] < bounds[p+1] {
-				body(p, bounds[p], bounds[p+1]) //p8:allow hotpathdeep: inline single-worker dispatch of the caller-supplied body — necessarily indirect; hot kernels annotate their own bodies
+				body(p, bounds[p], bounds[p+1]) //p8:allow hotpath: inline single-worker dispatch of the caller-supplied body — necessarily indirect; hot kernels annotate their own bodies
 				parts++
 				items += uint64(bounds[p+1] - bounds[p])
 			}

@@ -97,28 +97,6 @@ func (p *Pass) PkgNameOf(id *ast.Ident) *types.PkgName {
 	return nil
 }
 
-// CallTo reports whether call invokes a function of the package with
-// import path pkgPath, returning the function name. It matches direct
-// pkg.Func selector calls only (not method values or locals).
-func (p *Pass) CallTo(call *ast.CallExpr, pkgPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn := p.PkgNameOf(id)
-	if pn == nil || pn.Imported().Path() != pkgPath {
-		return "", false
-	}
-	if _, ok := p.TypesInfo.Uses[sel.Sel].(*types.Func); !ok {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
 // IsNamed reports whether t (after stripping pointers and aliases) is
 // the named type typeName declared in a package whose *name* is
 // pkgName. Matching by package name rather than import path lets golden
@@ -136,16 +114,6 @@ func IsNamed(t types.Type, pkgName, typeName string) bool {
 			return false
 		}
 	}
-}
-
-// IsMap reports whether the expression's type is (or aliases) a map.
-func (p *Pass) IsMap(e ast.Expr) bool {
-	t := p.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 // sortAllows orders directives by file, line, analyzer.

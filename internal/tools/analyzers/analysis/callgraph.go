@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the typed call graph behind the interprocedural
-// analyzers (hotpathdeep, determdeep, frozendeep, servicecheck). The
+// analyzers (determinism, frozenmachine, hotpath, servicecheck). The
 // construction rules, in order of decreasing precision:
 //
 //   - Direct calls and concrete method calls resolve to their one
@@ -20,7 +20,7 @@ import (
 //   - A call through a function value (a func-typed variable, field,
 //     parameter or map/slice element) cannot be bounded statically; the
 //     site is recorded as Dynamic and each analyzer decides what that
-//     means for its contract (hotpathdeep, for instance, reports it).
+//     means for its contract (hotpath, for instance, reports it).
 //   - A func literal is not a node of its own: its body is attributed
 //     to the enclosing declaration, which over-approximates (the
 //     literal may never run) but never misses behavior the encloser
@@ -93,6 +93,17 @@ func (g *CallGraph) NodeOf(f *types.Func) *FuncNode {
 		return nil
 	}
 	return g.Nodes[f.Origin()]
+}
+
+// DeclNode returns the node of a function declaration, or nil for any
+// other declaration (package-level initializers are not nodes).
+func (g *CallGraph) DeclNode(info *types.Info, decl ast.Decl) *FuncNode {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return nil
+	}
+	fn, _ := info.Defs[fd.Name].(*types.Func)
+	return g.NodeOf(fn)
 }
 
 // Site returns the call site record of a call expression, or nil when

@@ -3,7 +3,7 @@
 // every run, and EXPERIMENTS.md is committed generated output, so two
 // runs of the same binary must render byte-identical reports.
 //
-// Three rule groups, keyed by package name:
+// Four rule groups, keyed by package name:
 //
 //  1. In the simulation packages (machine, engine, experiments, fault,
 //     canon, memo): no wall-clock reads (time.Now, time.Since, ...) and
@@ -38,8 +38,22 @@
 //     merge (engine.ShardedSim); single-case selects, with or without a
 //     default, stay legal as plain non-blocking operations.
 //
+//  4. Through the call graph: a call from a simulation package into a
+//     module function outside the simulation packages and obs is
+//     flagged when that helper's static call closure — interface
+//     dispatch expanded conservatively — reaches a wall-clock read,
+//     any use of math/rand, or a map range that leaks iteration order
+//     by the rule-2 classification. The finding anchors at the call
+//     and prints the chain down to the offense. The walk stops at the
+//     simulation packages (rules 1-3 check their bodies at the source)
+//     and at obs (its Timers are harness provenance by design, never
+//     simulated state); calls through function values are not
+//     followed.
+//
 // Deviations are suppressed per line with
-// `//p8:allow determinism: <why>`.
+// `//p8:allow determinism: <why>`. A waiver on the offending line of a
+// helper also clears the rule-4 findings that reach it, so one
+// justified deviation is not reported twice.
 package determinism
 
 import (
@@ -47,17 +61,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/tools/analyzers/analysis"
 )
 
-// simPackages need rule 1 (and rule 2).
+// simPackages need rules 1, 3 and 4 (and rule 2).
 var simPackages = map[string]bool{
 	"machine": true, "engine": true, "experiments": true, "fault": true,
 	"canon": true, "memo": true,
 }
 
-// orderedPackages need rule 2: simPackages plus the exporters.
+// orderedPackages need rule 2: simPackages plus the exporters. The
+// rule-4 walk stops at them.
 var orderedPackages = map[string]bool{
 	"machine": true, "engine": true, "experiments": true, "fault": true,
 	"canon": true, "memo": true, "obs": true,
@@ -72,42 +88,60 @@ var wallClock = map[string]bool{
 
 // Analyzer is the determinism pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "simulation and reporting packages must not read wall clocks, use math/rand, or let map iteration order reach output",
-	Run:  run,
+	Name:       "determinism",
+	Doc:        "simulation and reporting packages must not read wall clocks, use math/rand, or let map iteration order reach output, directly or through the helpers they call; call-graph diagnostics carry the chain",
+	RunProgram: run,
 }
 
-func run(pass *analysis.Pass) error {
-	name := pass.Pkg.Name()
-	sim, ordered := simPackages[name], orderedPackages[name]
-	if !sim && !ordered {
-		return nil
+func run(pass *analysis.ProgramPass) error {
+	c := &checker{
+		pass:   pass,
+		g:      pass.Prog.Graph(),
+		taints: map[*analysis.FuncNode]*taint{},
+		done:   map[*analysis.FuncNode]bool{},
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if sim {
-					checkIdent(pass, n)
-				}
-			case *ast.RangeStmt:
-				if ordered && pass.IsMap(n.X) {
-					checkMapRange(pass, f, n)
-				}
-			case *ast.SelectStmt:
-				if sim {
-					checkSelect(pass, n)
-				}
+	for _, pkg := range pass.Prog.Pkgs {
+		name := pkg.Types.Name()
+		sim, ordered := simPackages[name], orderedPackages[name]
+		if !sim && !ordered {
+			continue
+		}
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				from := c.g.DeclNode(info, decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if sim {
+							checkIdent(pass, info, n)
+						}
+					case *ast.RangeStmt:
+						if ordered && isMapType(info, n.X) {
+							for _, leak := range rangeLeaks(info, f, n) {
+								pass.Reportf(leak.pos, "%s", leak.msg)
+							}
+						}
+					case *ast.SelectStmt:
+						if sim {
+							checkSelect(pass, n)
+						}
+					case *ast.CallExpr:
+						if sim && from != nil {
+							c.checkCall(from, n)
+						}
+					}
+					return true
+				})
 			}
-			return true
-		})
+		}
 	}
 	return nil
 }
 
 // checkIdent flags wall-clock and math/rand references.
-func checkIdent(pass *analysis.Pass, id *ast.Ident) {
-	obj := pass.TypesInfo.Uses[id]
+func checkIdent(pass *analysis.ProgramPass, info *types.Info, id *ast.Ident) {
+	obj := info.Uses[id]
 	if obj == nil || obj.Pkg() == nil {
 		return
 	}
@@ -128,7 +162,7 @@ func checkIdent(pass *analysis.Pass, id *ast.Ident) {
 // the engine's canonical (time, shard, seq) sorted merge; a select with
 // a single communication case (with or without a default) is just a
 // non-blocking operation and stays legal.
-func checkSelect(pass *analysis.Pass, s *ast.SelectStmt) {
+func checkSelect(pass *analysis.ProgramPass, s *ast.SelectStmt) {
 	comm := 0
 	for _, cc := range s.Body.List {
 		if c, ok := cc.(*ast.CommClause); ok && c.Comm != nil {
@@ -140,43 +174,164 @@ func checkSelect(pass *analysis.Pass, s *ast.SelectStmt) {
 	}
 }
 
-// A RangeLeak is one statement of a map-range body that can observe
-// iteration order. The intraprocedural pass reports each directly;
-// determdeep uses the same classification to decide whether a helper
-// outside the deterministic packages taints its callers.
-type RangeLeak struct {
-	Pos token.Pos
-	Msg string
+// A taint describes why a helper is nondeterministic: the offense, its
+// position, and the chain of module functions from the helper down to
+// it.
+type taint struct {
+	desc  string
+	pos   token.Pos
+	chain []*analysis.FuncNode
 }
 
-// RangeLeaks classifies every statement of one map-range body and
+// checker holds the rule-4 state: the call graph and the per-helper
+// taint memo.
+type checker struct {
+	pass   *analysis.ProgramPass
+	g      *analysis.CallGraph
+	taints map[*analysis.FuncNode]*taint
+	done   map[*analysis.FuncNode]bool
+}
+
+// checkCall flags a call from a deterministic package to a tainted
+// out-of-scope helper: one finding per call site, for the first
+// tainted callee.
+func (c *checker) checkCall(from *analysis.FuncNode, call *ast.CallExpr) {
+	site := c.g.Site(call)
+	if site == nil {
+		return
+	}
+	for _, callee := range site.Callees {
+		if orderedPackages[callee.Pkg.Types.Name()] {
+			continue // checked at the source by rules 1-3
+		}
+		t := c.taintOf(callee)
+		if t == nil {
+			continue
+		}
+		p := c.pass.Prog.Fset.Position(t.pos)
+		c.pass.Reportf(site.Pos(),
+			"nondeterminism reaches %s through this call: %s %s at %s:%d (call chain %s)",
+			from.Pkg.Types.Name(), t.chain[len(t.chain)-1].String(), t.desc, p.Filename, p.Line,
+			renderChain(from, t.chain))
+		return
+	}
+}
+
+// taintOf computes (and memoizes) whether a helper's closure reaches a
+// nondeterminism source. Cycles resolve to clean unless a source is
+// found elsewhere on the walk.
+func (c *checker) taintOf(node *analysis.FuncNode) *taint {
+	if c.done[node] {
+		return c.taints[node]
+	}
+	c.done[node] = true // pre-mark: cycles read clean while in progress
+
+	if t := c.direct(node); t != nil {
+		c.taints[node] = t
+		return t
+	}
+	for _, site := range node.Calls {
+		for _, callee := range site.Callees {
+			if orderedPackages[callee.Pkg.Types.Name()] {
+				continue
+			}
+			if sub := c.taintOf(callee); sub != nil {
+				t := &taint{desc: sub.desc, pos: sub.pos,
+					chain: append([]*analysis.FuncNode{node}, sub.chain...)}
+				c.taints[node] = t
+				return t
+			}
+		}
+	}
+	return nil
+}
+
+// direct finds a nondeterminism source written in the node's own body:
+// a banned extern call, any math/rand reference, or an order-leaking
+// map range. Leaves waived with //p8:allow determinism are skipped.
+func (c *checker) direct(node *analysis.FuncNode) *taint {
+	var found *taint
+	record := func(pos token.Pos, desc string) {
+		if found != nil || c.pass.Prog.Allowed(c.pass.Analyzer.Name, pos) {
+			return
+		}
+		found = &taint{desc: desc, pos: pos, chain: []*analysis.FuncNode{node}}
+	}
+	for _, site := range node.Calls {
+		if site.ExternName == "" {
+			continue
+		}
+		switch site.ExternPath {
+		case "time":
+			if wallClock[site.ExternName] {
+				record(site.Pos(), "reads the wall clock (time."+site.ExternName+")")
+			}
+		case "math/rand", "math/rand/v2":
+			record(site.Pos(), "uses math/rand."+site.ExternName)
+		}
+	}
+	info := node.Pkg.Info
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			// Non-call uses of math/rand (rand.Source values, method
+			// receivers) taint too, as under rule 1.
+			if obj := info.Uses[n]; obj != nil && obj.Pkg() != nil {
+				switch obj.Pkg().Path() {
+				case "math/rand", "math/rand/v2":
+					record(n.Pos(), "uses math/rand")
+				}
+			}
+		case *ast.RangeStmt:
+			if isMapType(info, n.X) {
+				for _, leak := range rangeLeaks(info, node.File, n) {
+					record(leak.pos, "lets map iteration order escape ("+leak.msg+")")
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// renderChain renders from → helper → ... → offender.
+func renderChain(from *analysis.FuncNode, chain []*analysis.FuncNode) string {
+	names := make([]string, 0, len(chain)+1)
+	names = append(names, from.String())
+	for _, n := range chain {
+		names = append(names, n.String())
+	}
+	return strings.Join(names, " → ")
+}
+
+// A rangeLeak is one statement of a map-range body that can observe
+// iteration order. Rule 2 reports each directly; rule 4 uses the same
+// classification to decide whether a helper taints its callers.
+type rangeLeak struct {
+	pos token.Pos
+	msg string
+}
+
+// rangeLeaks classifies every statement of one map-range body and
 // returns the ones that can observe iteration order.
-func RangeLeaks(info *types.Info, file *ast.File, rs *ast.RangeStmt) []RangeLeak {
+func rangeLeaks(info *types.Info, file *ast.File, rs *ast.RangeStmt) []rangeLeak {
 	c := &rangeChecker{info: info, file: file, rs: rs}
 	c.stmts(rs.Body.List)
 	return c.leaks
-}
-
-// checkMapRange classifies every statement of a map-range body and
-// reports the ones that can observe iteration order.
-func checkMapRange(pass *analysis.Pass, file *ast.File, rs *ast.RangeStmt) {
-	for _, leak := range RangeLeaks(pass.TypesInfo, file, rs) {
-		pass.Reportf(leak.Pos, "%s", leak.Msg)
-	}
 }
 
 type rangeChecker struct {
 	info  *types.Info
 	file  *ast.File
 	rs    *ast.RangeStmt
-	leaks []RangeLeak
+	leaks []rangeLeak
 }
 
 const fixHint = "iterate sorted keys instead"
 
 // report records one leak at pos.
 func (c *rangeChecker) report(pos token.Pos, format string, args ...interface{}) {
-	c.leaks = append(c.leaks, RangeLeak{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	c.leaks = append(c.leaks, rangeLeak{pos: pos, msg: fmt.Sprintf(format, args...)})
 }
 
 func (c *rangeChecker) stmts(list []ast.Stmt) {
@@ -308,7 +463,7 @@ func (c *rangeChecker) appendSorted(lhs *ast.Ident, rhs ast.Expr) bool {
 			return true
 		}
 		if _, ok := callTo(c.info, sc, "sort"); !ok {
-			if name, ok := callTo(c.info, sc, "slices"); !ok || len(name) < 4 || name[:4] != "Sort" {
+			if name, ok := callTo(c.info, sc, "slices"); !ok || !strings.HasPrefix(name, "Sort") {
 				return true
 			}
 		}
@@ -322,7 +477,7 @@ func (c *rangeChecker) appendSorted(lhs *ast.Ident, rhs ast.Expr) bool {
 }
 
 // isMapType reports whether the expression's type is (or aliases) a
-// map — the info-level twin of Pass.IsMap, for use outside a Pass.
+// map.
 func isMapType(info *types.Info, e ast.Expr) bool {
 	t := info.TypeOf(e)
 	if t == nil {
@@ -333,8 +488,7 @@ func isMapType(info *types.Info, e ast.Expr) bool {
 }
 
 // callTo reports whether call invokes a function of the package with
-// import path pkgPath, returning the function name — the info-level
-// twin of Pass.CallTo.
+// import path pkgPath, returning the function name.
 func callTo(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

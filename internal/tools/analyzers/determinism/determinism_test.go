@@ -8,5 +8,5 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", determinism.Analyzer, "machine", "engine", "obs", "other", "fault", "canon", "memo")
+	analysistest.Run(t, "testdata", determinism.Analyzer, "machine", "engine", "obs", "other", "fault", "canon", "memo", "helpers")
 }

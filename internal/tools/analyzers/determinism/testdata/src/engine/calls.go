@@ -1,5 +1,3 @@
-// Package engine is a stand-in for the deterministic simulation
-// packages; its calls into helpers are what determdeep checks.
 package engine
 
 import "helpers"
@@ -33,5 +31,5 @@ func Waived() int64 {
 
 // SiteWaived suppresses the chain finding at the call site instead.
 func SiteWaived() int64 {
-	return helpers.Chain() //p8:allow determdeep: boot-time provenance stamp, taken before any event is scheduled
+	return helpers.Chain() //p8:allow determinism: boot-time provenance stamp, taken before any event is scheduled
 }

@@ -46,7 +46,7 @@ func Sorted(m map[string]int) []string {
 }
 
 // StampWaived reads the wall clock on a line the determinism contract
-// has already waived; the deep pass honors the leaf justification.
+// has already waived; the call-graph rule honors the leaf justification.
 func StampWaived() int64 {
 	return time.Now().UnixNano() //p8:allow determinism: I/O timing provenance, never part of a report body
 }

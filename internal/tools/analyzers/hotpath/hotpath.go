@@ -1,9 +1,9 @@
 // Package hotpath enforces the repo's hot-path discipline on functions
-// annotated with a //p8:hotpath directive in their doc comment: the
+// annotated with a //p8:hotpath directive in their doc comment — the
 // walker access path, the Team dispatch/pull loop and the DES event
 // loop, whose per-operation cost budgets are pinned by the allocation
 // benchmarks (BenchmarkWalker*, BenchmarkParallelForTeam,
-// BenchmarkSchedule).
+// BenchmarkSchedule) — and on their full static call closure.
 //
 // Inside an annotated function the analyzer rejects:
 //
@@ -21,12 +21,31 @@
 //     a heap allocation per call; hoist the state or pass it as an
 //     argument).
 //
+// Every function an annotated one reaches through static calls —
+// interface dispatch expanded conservatively to every satisfying method
+// in the load set — is held to the same rules, with two differences:
+// sync (locks block and their slow path allocates) is banned, and
+// sync/atomic is allowed, because the flush targets of the "accumulate
+// in plain fields, flush at the end" idiom — obs counters, the
+// cross-shard event Budget — are atomic by design and by benchmark. An
+// offense in a callee is reported at the call inside the annotated
+// function that starts the chain, with the chain; one finding per
+// (call, offending function).
+//
+// A call through a function value anywhere in the closure, the
+// annotated body included, is reported at the call site: the callee is
+// statically unbounded, so the closure guarantee cannot be proven past
+// it — keep hot dispatch direct or justify the site.
+//
 // Deviations are suppressed per line with
-// `//p8:allow hotpath: <why>`.
+// `//p8:allow hotpath: <why>`. A waiver on an offending line inside a
+// callee also clears the chain findings that reach it; a waiver at the
+// anchoring call accepts the whole chain.
 package hotpath
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -46,19 +65,17 @@ var wallClock = map[string]bool{
 
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "hotpath",
-	Doc:  "functions marked //p8:hotpath may not call fmt or wall clocks, use sync/atomic or math/rand, range over maps, or capture closures",
-	Run:  run,
+	Name:       "hotpath",
+	Doc:        "functions marked //p8:hotpath, and everything they statically call, may not call fmt or wall clocks, use math/rand, range over maps, or capture closures; annotated bodies may not use sync/atomic, callees may not use sync; diagnostics carry the call chain",
+	RunProgram: run,
 }
 
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !annotated(fd) {
-				continue
-			}
-			checkBody(pass, fd)
+func run(pass *analysis.ProgramPass) error {
+	g := pass.Prog.Graph()
+	dynReported := map[token.Pos]bool{}
+	for _, root := range g.Sorted {
+		if annotated(root.Decl) {
+			check(pass, root, dynReported)
 		}
 	}
 	return nil
@@ -78,17 +95,87 @@ func annotated(fd *ast.FuncDecl) bool {
 	return false
 }
 
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// A step is one BFS discovery: the node plus the edge that found it.
+type step struct {
+	node   *analysis.FuncNode
+	parent *step
+	site   *analysis.CallSite // edge from parent.node into node
+}
+
+// chain renders root → ... → leaf for diagnostics.
+func (s *step) chain() string {
+	var names []string
+	for at := s; at != nil; at = at.parent {
+		names = append(names, at.node.String())
+	}
+	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
+		names[i], names[j] = names[j], names[i]
+	}
+	return strings.Join(names, " → ")
+}
+
+// anchor returns the depth-1 call site: the call inside the annotated
+// root that starts this chain.
+func (s *step) anchor() *analysis.CallSite {
+	at := s
+	for at.parent.parent != nil {
+		at = at.parent
+	}
+	return at.site
+}
+
+// check walks one annotated root and its static call closure breadth
+// first: the root's own body gets the annotated-body rules, every
+// callee the closure rules, and dynamic sites are reported wherever
+// they appear.
+func check(pass *analysis.ProgramPass, root *analysis.FuncNode, dynReported map[token.Pos]bool) {
+	visited := map[*analysis.FuncNode]bool{root: true}
+	queue := []*step{{node: root}}
+	// One chain finding per (anchor site, offending function): the first
+	// offense is representative; a fixed helper clears its siblings.
+	reported := map[[2]token.Pos]bool{}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		if at.parent == nil {
+			checkBody(pass, root)
+		} else {
+			checkCallee(pass, at, reported)
+		}
+		for _, site := range at.node.Calls {
+			if site.Dynamic {
+				if !dynReported[site.Pos()] && !pass.Prog.Allowed(pass.Analyzer.Name, site.Pos()) {
+					dynReported[site.Pos()] = true
+					pass.Reportf(site.Pos(),
+						"hot closure of %s calls through a function value; the callee is statically unbounded, so the hot-path guarantee stops here — dispatch directly or justify the site",
+						root.String())
+				}
+				continue
+			}
+			for _, callee := range site.Callees {
+				if visited[callee] {
+					continue
+				}
+				visited[callee] = true
+				queue = append(queue, &step{node: callee, parent: at, site: site})
+			}
+		}
+	}
+}
+
+// checkBody applies the annotated-body rules to the root itself.
+func checkBody(pass *analysis.ProgramPass, node *analysis.FuncNode) {
+	info := node.Pkg.Info
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
-			checkIdent(pass, n)
+			checkIdent(pass, info, n)
 		case *ast.RangeStmt:
-			if pass.IsMap(n.X) {
+			if isMap(info, n.X) {
 				pass.Reportf(n.Pos(), "hot path ranges over a map (iteration order is randomized); use a slice or fixed array")
 			}
 		case *ast.FuncLit:
-			if name, ok := captures(pass, fd, n); ok {
+			if name, ok := captures(info, node.Decl, n); ok {
 				pass.Reportf(n.Pos(), "hot-path closure captures %q and may escape to the heap; hoist the state or pass it as an argument", name)
 			}
 		}
@@ -96,14 +183,14 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// checkIdent flags uses of banned packages' functions and objects.
-func checkIdent(pass *analysis.Pass, id *ast.Ident) {
-	obj := pass.TypesInfo.Uses[id]
+// checkIdent flags uses of banned packages' functions and objects in
+// an annotated body.
+func checkIdent(pass *analysis.ProgramPass, info *types.Info, id *ast.Ident) {
+	obj := info.Uses[id]
 	if obj == nil || obj.Pkg() == nil {
 		return
 	}
-	path := obj.Pkg().Path()
-	switch path {
+	switch obj.Pkg().Path() {
 	case "fmt":
 		if _, ok := obj.(*types.Func); ok {
 			pass.Reportf(id.Pos(), "hot path calls fmt.%s (allocates); format outside the loop", id.Name)
@@ -121,9 +208,80 @@ func checkIdent(pass *analysis.Pass, id *ast.Ident) {
 	}
 }
 
+// bannedExtern classifies a call leaf outside the load set made from a
+// callee; it returns a short description of the offense, or "".
+func bannedExtern(path, name string) string {
+	switch path {
+	case "fmt":
+		return "calls fmt." + name + " (allocates)"
+	case "time":
+		if wallClock[name] {
+			return "reads the wall clock (time." + name + ")"
+		}
+	case "sync":
+		return "uses sync." + name + " (blocking; the slow path allocates)"
+	case "math/rand", "math/rand/v2":
+		return "uses math/rand." + name
+	}
+	return ""
+}
+
+// checkCallee applies the closure rules to one callee and reports each
+// offense at the chain's anchor call inside the annotated root. A leaf
+// line waived for hotpath is skipped.
+func checkCallee(pass *analysis.ProgramPass, at *step, reported map[[2]token.Pos]bool) {
+	anchor := at.anchor()
+	report := func(pos token.Pos, what string) {
+		if pass.Prog.Allowed(pass.Analyzer.Name, pos) {
+			return
+		}
+		key := [2]token.Pos{anchor.Pos(), at.node.Decl.Pos()}
+		if reported[key] {
+			return
+		}
+		reported[key] = true
+		p := pass.Prog.Fset.Position(pos)
+		pass.Reportf(anchor.Pos(), "hot call chain %s: %s %s at %s:%d",
+			at.chain(), at.node.String(), what, p.Filename, p.Line)
+	}
+	for _, site := range at.node.Calls {
+		if site.ExternName == "" {
+			continue
+		}
+		if what := bannedExtern(site.ExternPath, site.ExternName); what != "" {
+			report(site.Pos(), what)
+		}
+	}
+	node := at.node
+	info := node.Pkg.Info
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			if isMap(info, n.X) {
+				report(n.Pos(), "ranges over a map (iteration order is randomized)")
+			}
+		case *ast.FuncLit:
+			if name, ok := captures(info, node.Decl, n); ok {
+				report(n.Pos(), "builds a closure capturing \""+name+"\" (may escape to the heap)")
+			}
+		}
+		return true
+	})
+}
+
+// isMap reports whether the expression's type is (or aliases) a map.
+func isMap(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
 // captures reports whether the closure references a variable declared
 // in the enclosing function but outside the closure itself.
-func captures(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FuncLit) (string, bool) {
+func captures(info *types.Info, fd *ast.FuncDecl, fl *ast.FuncLit) (string, bool) {
 	var name string
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		if name != "" {
@@ -133,7 +291,7 @@ func captures(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FuncLit) (string, b
 		if !ok {
 			return true
 		}
-		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		v, ok := info.Uses[id].(*types.Var)
 		if !ok || v.IsField() {
 			return true
 		}

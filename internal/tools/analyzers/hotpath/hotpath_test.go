@@ -8,5 +8,5 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", hotpath.Analyzer, "hot")
+	analysistest.Run(t, "testdata", hotpath.Analyzer, "hot", "deep")
 }

@@ -1,6 +1,6 @@
-// Package deep exercises the interprocedural hot-path closure rules:
-// offenses in transitive callees, chain diagnostics, leaf-allow
-// respect, dynamic call sites and conservative interface dispatch.
+// Package deep exercises the hot-path closure rules: offenses in
+// transitive callees, chain diagnostics, leaf-allow respect, dynamic
+// call sites and conservative interface dispatch.
 package deep
 
 import (
@@ -18,7 +18,7 @@ func helperFmt(x int) string { return fmt.Sprintf("%d", x) }
 func helperMid(x int) string { return helperFmt(x) }
 
 // helperClockAllowed reads the wall clock, but the line carries a
-// hotpath allow, which the deep pass honors at the leaf.
+// hotpath allow, which the closure walk honors at the leaf.
 func helperClockAllowed() int64 {
 	return time.Now().UnixNano() //p8:allow hotpath: stamped once per dispatch, off the per-item path
 }
@@ -66,7 +66,7 @@ func hotDynamic(f func() int) int {
 
 //p8:hotpath
 func hotWaived(x int) string {
-	return helperMid(x) //p8:allow hotpathdeep: formatting here is once per run, measured harmless
+	return helperMid(x) //p8:allow hotpath: formatting here is once per run, measured harmless
 }
 
 // Sink dispatches Emit through an interface; the closure must cover

@@ -36,7 +36,7 @@ func annotatedCapture() func() {
 		local := 2
 		return local * local
 	}
-	_ = g()
+	_ = g() // want `calls through a function value`
 	return f
 }
 

@@ -1,9 +1,9 @@
 // Package analyzers collects the p8lint analyzer suite: the
 // machine-checked contracts the simulator's correctness and
-// reproducibility arguments rest on. The intraprocedural passes check
-// each function against its package's rules; the deep passes
-// (hotpathdeep, determdeep, frozendeep) chase the same contracts
-// through the whole-program call graph; the servicecheck family guards
+// reproducibility arguments rest on. Each analyzer owns one contract
+// and checks it wherever it reaches: determinism, frozenmachine and
+// hotpath check a function body and chase the same rules through the
+// whole-program call graph in one pass; the servicecheck family guards
 // the long-running service layer. cmd/p8lint runs the suite from the
 // command line and CI; the per-analyzer packages carry the rules and
 // their golden tests.
@@ -11,22 +11,18 @@ package analyzers
 
 import (
 	"repro/internal/tools/analyzers/analysis"
-	"repro/internal/tools/analyzers/determdeep"
 	"repro/internal/tools/analyzers/determinism"
-	"repro/internal/tools/analyzers/frozendeep"
 	"repro/internal/tools/analyzers/frozenmachine"
 	"repro/internal/tools/analyzers/fsyncsafe"
 	"repro/internal/tools/analyzers/hotpath"
-	"repro/internal/tools/analyzers/hotpathdeep"
 	"repro/internal/tools/analyzers/isolation"
 	"repro/internal/tools/analyzers/nilsafe"
 	"repro/internal/tools/analyzers/servicecheck"
 	"repro/internal/tools/analyzers/teamuse"
 )
 
-// All returns the full p8lint suite in stable order: the
-// intraprocedural passes first, then the interprocedural deep passes,
-// then the service-layer family.
+// All returns the full p8lint suite in stable order: the simulator
+// contracts first, then the service-layer family.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
@@ -36,9 +32,6 @@ func All() []*analysis.Analyzer {
 		isolation.Analyzer,
 		nilsafe.Analyzer,
 		teamuse.Analyzer,
-		determdeep.Analyzer,
-		frozendeep.Analyzer,
-		hotpathdeep.Analyzer,
 		servicecheck.HTTPStatus,
 		servicecheck.MutexHeld,
 		servicecheck.GoLeak,
