@@ -8,5 +8,11 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", determinism.Analyzer, "machine", "engine", "obs", "other", "fault", "canon", "memo", "helpers")
+	analysistest.Run(t, "testdata", determinism.Analyzer, "machine", "engine", "obs", "other", "fault", "canon", "memo")
+}
+
+// TestCallGraphGolden pins the call-graph closure: nondeterminism that
+// reaches a deterministic package through out-of-scope helpers.
+func TestCallGraphGolden(t *testing.T) {
+	analysistest.Run(t, "testdata/callgraph", determinism.Analyzer, "engine", "helpers", "other")
 }

@@ -1,7 +1,7 @@
 // Package machine is a golden stand-in defining the frozen Machine
-// type. Inside the defining package a write is legal only while a
-// constructor owns the value; a write reachable from an exported
-// non-constructor entry point is flagged.
+// type. Inside the defining package a constructor owns initialization,
+// so its writes are legal; the call-graph cases live in
+// testdata/callgraph.
 package machine
 
 // Latency holds per-level latencies.
@@ -12,10 +12,8 @@ type Spec struct{ Latency Latency }
 
 // Machine is read-only after construction.
 type Machine struct {
-	Spec    *Spec
-	Seq     int
-	Sockets int
-	ncores  int
+	Spec *Spec
+	Seq  int
 }
 
 // New builds a Machine; writes inside a constructor are not flagged.
@@ -25,49 +23,4 @@ func New(s *Spec) *Machine {
 	m.Seq++
 	m.Spec.Latency.LocalDRAMNs = 1
 	return m
-}
-
-// NewSized is a constructor: its writes, direct and through helpers,
-// are construction-time and clean.
-func NewSized(sockets int) *Machine {
-	m := &Machine{}
-	m.Sockets = sockets
-	fill(m)
-	return m
-}
-
-// NewTuned reaches calibrate, which is *only* reachable from
-// constructors and therefore clean.
-func NewTuned() *Machine {
-	m := NewSized(2)
-	calibrate(m)
-	return m
-}
-
-// fill is shared by NewSized (fine) and Retune (not fine); the write is
-// reachable post-construction through the latter.
-func fill(m *Machine) {
-	m.ncores = m.Sockets * 10 // want `write to machine\.Machine reachable after construction: machine\.fill assigns through the Machine and is reached by exported machine\.Retune \(entry chain machine\.Retune → machine\.fill\)`
-}
-
-// calibrate is constructor-only; no finding.
-func calibrate(m *Machine) {
-	m.ncores = 0
-}
-
-// Retune is the post-construction entry point that makes fill's write
-// illegal.
-func Retune(m *Machine) {
-	fill(m)
-}
-
-// Grow writes directly from an exported method: the entry chain is the
-// method itself.
-func (m *Machine) Grow() {
-	m.Sockets++ // want `write to machine\.Machine reachable after construction: \*machine\.Machine\.Grow assigns through the Machine and is reached by exported \*machine\.Machine\.Grow`
-}
-
-// Reseed carries an itemized waiver on the write line.
-func (m *Machine) Reseed() {
-	m.Sockets = 0 //p8:allow frozenmachine: test-only reset helper, documented as not concurrency-safe
 }

@@ -8,5 +8,11 @@ import (
 )
 
 func TestGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", hotpath.Analyzer, "hot", "deep")
+	analysistest.Run(t, "testdata", hotpath.Analyzer, "hot")
+}
+
+// TestCallGraphGolden pins the call-graph closure: offenses in the
+// transitive callees of a //p8:hotpath function.
+func TestCallGraphGolden(t *testing.T) {
+	analysistest.Run(t, "testdata/callgraph", hotpath.Analyzer, "deep")
 }
