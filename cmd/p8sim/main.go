@@ -176,8 +176,10 @@ func main() {
 			page = arch.Page16M
 		}
 		w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg})
-		w.Run(trace.NewChase(0, lines, 1, 42), 0)
-		res := w.Run(trace.NewChase(0, lines, 1, 42), 2_000_000)
+		chase := trace.NewChase(0, lines, 1, 42)
+		w.Run(chase, 0) // warm lap
+		chase.Reset()
+		res := w.Run(chase, 2_000_000)
 		fmt.Printf("chase over %d bytes (%v pages): %.2f ns/access\n", *ws, page, res.AvgNs())
 	}
 

@@ -50,15 +50,16 @@ func (c Comparison) Factor() float64 {
 // the NUCA lateral castout. Without it, those misses fall to the Centaur
 // L4.
 func VictimL3(m *machine.Machine) Comparison {
+	chase := trace.NewChase(0, 32*1024*1024/128, 1, 42)
 	run := func(disable bool) float64 {
-		lines := 32 * 1024 * 1024 / 128
 		w := m.NewWalker(machine.WalkerConfig{
 			DisablePrefetch: true,
 			DisableVictimL3: disable,
 		})
-		w.Run(trace.NewChase(0, lines, 1, 42), 0)
-		res := w.Run(trace.NewChase(0, lines, 1, 42), 0)
-		return res.AvgNs()
+		chase.Reset()
+		w.Run(chase, 0) // warm lap
+		chase.Reset()
+		return w.Run(chase, 0).AvgNs()
 	}
 	return Comparison{
 		Name:    "NUCA victim L3 (32 MiB chase latency)",

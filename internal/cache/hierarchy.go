@@ -96,57 +96,63 @@ func NewHierarchy(chip arch.ChipSpec, centaur arch.CentaurSpec, centaurs int) *H
 // victims spill to the on-chip victim L3; DRAM fills also populate the
 // memory-side L4 when l4Homed is true (the L4 caches only the DRAM behind
 // this chip's own Centaurs).
+//
+// Each level's set is probed once. L1, L2 and L4 fill on the probe that
+// misses, since nothing else touches that level before its fill; an L3
+// hit drops the line from that L3 on the probe that finds it. The L2
+// castout waits until the lower levels have been probed, so the local L3
+// sees the demand probe before the castout, as a probe-then-fill walk
+// would order them.
 func (h *Hierarchy) Read(addr uint64, l4Homed bool) Level {
-	level := h.lookup(addr, l4Homed)
-	h.fill(addr, level, l4Homed)
+	level := LevelL1
+	if hit, _, _ := h.L1.Access(addr); !hit {
+		level = LevelL2
+		hit, cast, castOut := h.L2.Access(addr)
+		if !hit {
+			level = h.below(addr, l4Homed)
+		}
+		if castOut {
+			h.castout(cast)
+		}
+	}
 	h.counts[level]++
 	return level
 }
 
-func (h *Hierarchy) lookup(addr uint64, l4Homed bool) Level {
+// below resolves an L2 miss in the L3 regions, the L4 or DRAM.
+func (h *Hierarchy) below(addr uint64, l4Homed bool) Level {
 	switch {
-	case h.L1.Lookup(addr):
-		return LevelL1
-	case h.L2.Lookup(addr):
-		return LevelL2
-	case h.L3Local.Lookup(addr):
+	case h.L3Local.Take(addr):
 		// Victim semantics: a hit promotes the line back toward the core
 		// and removes it from L3.
-		h.L3Local.Invalidate(addr)
 		return LevelL3
-	case !h.DisableVictim && h.L3Victim.Lookup(addr):
-		h.L3Victim.Invalidate(addr)
+	case !h.DisableVictim && h.L3Victim.Take(addr):
 		return LevelL3Remote
-	case l4Homed && h.L4.Lookup(addr):
-		return LevelL4
-	default:
+	case !l4Homed:
 		return LevelDRAM
 	}
+	// Memory-side fill: on a miss the Centaur caches the line it reads
+	// from its DRAM.
+	if hit, _, _ := h.L4.Access(addr); hit {
+		return LevelL4
+	}
+	return LevelDRAM
 }
 
-func (h *Hierarchy) fill(addr uint64, level Level, l4Homed bool) {
-	if level == LevelDRAM && l4Homed {
-		// Memory-side fill: the Centaur caches lines read from its DRAM.
-		h.L4.Insert(addr)
-	}
-	if level != LevelL1 {
-		h.L1.Insert(addr)
-		if cast, ok := h.L2.Insert(addr); ok {
-			if spill, ok := h.L3Local.Insert(cast); ok && !h.DisableVictim {
-				h.L3Victim.Insert(spill)
-			}
-		}
+// castout drops an L2 victim into the local L3, whose own victim spills
+// to the other cores' regions.
+func (h *Hierarchy) castout(line uint64) {
+	if spill, ok := h.L3Local.Insert(line); ok && !h.DisableVictim {
+		h.L3Victim.Insert(spill)
 	}
 }
 
 // Install places a line into L1/L2 without recording a demand read,
-// modelling a completed hardware prefetch. Castouts propagate as in fill.
+// modelling a completed hardware prefetch. Castouts propagate as in Read.
 func (h *Hierarchy) Install(addr uint64) {
 	h.L1.Insert(addr)
 	if cast, ok := h.L2.Insert(addr); ok {
-		if spill, ok := h.L3Local.Insert(cast); ok && !h.DisableVictim {
-			h.L3Victim.Insert(spill)
-		}
+		h.castout(cast)
 	}
 }
 

@@ -23,8 +23,8 @@ func runFigure2(ctx *Context) *Report {
 		}
 		maxAccesses = 250_000
 	}
-	small := micro.LatencyCurve(ctx.Machine, arch.Page64K, sizes, maxAccesses, ctx.Obs, ctx.Budget)
-	huge := micro.LatencyCurve(ctx.Machine, arch.Page16M, sizes, maxAccesses, ctx.Obs, ctx.Budget)
+	curves := micro.LatencyCurves(ctx.Machine, []arch.PageSize{arch.Page64K, arch.Page16M}, sizes, maxAccesses, ctx.Obs, ctx.Budget)
+	small, huge := curves[0], curves[1]
 	r.Printf("%14s %16s %16s", "working set", "64 KiB pages", "16 MiB pages")
 	for i := range small {
 		r.Printf("%14v %13.2f ns %13.2f ns", small[i].WorkingSet, small[i].AvgNs, huge[i].AvgNs)

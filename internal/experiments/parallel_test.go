@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -36,9 +37,14 @@ func TestSimulatedExperimentsRaceFree(t *testing.T) {
 		t.Fatalf("found %d simulated experiments in the registry, want %d", len(subset), len(simulated))
 	}
 
+	// The sequential pass runs instrumented, one registry per
+	// experiment, so the comparison also proves counters never feed back
+	// into report bodies, and figure2's walker counters can be pinned.
 	m := machine.New(arch.E870())
-	seq := parallel.Map(1, subset, func(_ int, e Experiment) *Report {
-		return e.Run(&Context{Machine: m, Quick: true})
+	regs := make([]*obs.Registry, len(subset))
+	seq := parallel.Map(1, subset, func(i int, e Experiment) *Report {
+		regs[i] = obs.NewRegistry(e.ID)
+		return e.Run(&Context{Machine: m, Quick: true, Obs: regs[i]})
 	})
 	par := parallel.Map(8, subset, func(_ int, e Experiment) *Report {
 		return e.Run(&Context{Machine: m, Quick: true})
@@ -61,6 +67,44 @@ func TestSimulatedExperimentsRaceFree(t *testing.T) {
 					t.Errorf("%s: check failed: %s", s.ID, c.String())
 				}
 			}
+		}
+		if s.ID == "figure2" {
+			checkFigure2Pinned(t, s, regs[i].Snapshot().CounterMap())
+		}
+	}
+}
+
+// checkFigure2Pinned holds the quick Figure 2 run to its exact printed
+// curve and walker counters. Any change to a cache replacement decision,
+// a fill order or the chase's visit order moves at least one of them.
+func checkFigure2Pinned(t *testing.T, rep *Report, counters map[string]uint64) {
+	t.Helper()
+	wantLines := []string{
+		"   working set     64 KiB pages     16 MiB pages",
+		"        32 KiB          0.69 ns          0.69 ns",
+		"       256 KiB          2.99 ns          2.99 ns",
+		"         2 MiB          6.21 ns          6.21 ns",
+		"         6 MiB          8.70 ns         12.18 ns",
+		"        32 MiB         32.53 ns         38.87 ns",
+		"       120 MiB         66.88 ns         73.70 ns",
+		"       384 MiB        123.26 ns        106.90 ns",
+	}
+	if len(rep.Lines) < len(wantLines) || !reflect.DeepEqual(rep.Lines[:len(wantLines)], wantLines) {
+		t.Errorf("figure2 curve moved:\n got %q\nwant %q", rep.Lines, wantLines)
+	}
+	for name, want := range map[string]uint64{
+		"walker/accesses":        10553184,
+		"walker/hit/l1":          512,
+		"walker/hit/l2":          4096,
+		"walker/hit/l3":          131072,
+		"walker/hit/l3_remote":   500000,
+		"walker/hit/l4":          500000,
+		"walker/hit/dram":        9417504,
+		"walker/xlate/erat_miss": 7901532,
+		"walker/xlate/tlb_miss":  2267842,
+	} {
+		if got := counters["figure2/"+name]; got != want {
+			t.Errorf("figure2 %s = %d, want %d", name, got, want)
 		}
 	}
 }

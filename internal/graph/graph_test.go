@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestFromCOOBasic(t *testing.T) {
@@ -201,6 +204,122 @@ func TestRMATUndirectedSymmetric(t *testing.T) {
 		for k := range c1 {
 			if c1[k] != c2[k] {
 				t.Fatalf("row %d not symmetric", i)
+			}
+		}
+	}
+}
+
+// floatQuadrant is the reference quadrant choice: the first-match float
+// comparison of the uniform variate u against A, A+B and A+B+C.
+func floatQuadrant(cfg RMATConfig, u float64) int32 {
+	ab := cfg.A + cfg.B
+	abc := ab + cfg.C
+	switch {
+	case u < cfg.A:
+		return 0
+	case u < ab:
+		return 1
+	case u < abc:
+		return 2
+	default:
+		return 3
+	}
+}
+
+// rmatOne is the float-draw oracle: one edge by recursive quadrant
+// descent on r.Float64() variates.
+func rmatOne(cfg RMATConfig, r *rng.Rand) (int32, int32) {
+	var i, j int32
+	for bit := 0; bit < cfg.Scale; bit++ {
+		switch floatQuadrant(cfg, r.Float64()) {
+		case 0:
+			// top-left: no bits set
+		case 1:
+			j |= 1 << bit
+		case 2:
+			i |= 1 << bit
+		default:
+			i |= 1 << bit
+			j |= 1 << bit
+		}
+	}
+	return i, j
+}
+
+// rmatEdgesOracle is RMATEdges on the float-draw oracle.
+func rmatEdgesOracle(cfg RMATConfig) (src, dst []int32) {
+	r := rng.New(cfg.Seed)
+	for e := int64(0); e < cfg.Edges(); e++ {
+		i, j := rmatOne(cfg, r)
+		for cfg.NoSelf && i == j {
+			i, j = rmatOne(cfg, r)
+		}
+		src = append(src, i)
+		dst = append(dst, j)
+	}
+	return src, dst
+}
+
+// TestRMATThresholdsMatchFloatDraws checks the integer quadrant choice
+// against the float comparison at every threshold's boundary draws and
+// at random draws: for the Graph500 parameters, for probabilities below
+// 1/2 (whose thresholds p*2^53 are not integers, so the ceiling matters)
+// and for a configuration whose cumulative probabilities are not
+// monotone.
+func TestRMATThresholdsMatchFloatDraws(t *testing.T) {
+	small := DefaultRMAT(4, 1)
+	small.A, small.B, small.C, small.D = 0.1, 0.2, 0.3, 0.4
+	odd := DefaultRMAT(4, 1)
+	odd.A, odd.B, odd.C, odd.D = 0.6, -0.1, 0.5, 0
+	for _, cfg := range []RMATConfig{DefaultRMAT(14, 1), small, odd} {
+		g := newRMATGen(cfg)
+		ks := []uint64{0, 1<<53 - 1}
+		for _, th := range g.t {
+			ks = append(ks, th-1, th, th+1)
+		}
+		r := rng.New(99)
+		for n := 0; n < 100000; n++ {
+			ks = append(ks, r.Uint64()>>11)
+		}
+		for _, k := range ks {
+			if k >= 1<<53 {
+				continue
+			}
+			if got, want := g.quadrant(k), floatQuadrant(cfg, float64(k)/(1<<53)); got != want {
+				t.Fatalf("A=%g B=%g C=%g, k=%d: quadrant %d, float draw gives %d", cfg.A, cfg.B, cfg.C, k, got, want)
+			}
+		}
+	}
+}
+
+// TestRMATMatchesFloatOracle pins RMATEdges and RMATDegrees to the
+// float-draw generator they replaced.
+func TestRMATMatchesFloatOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, ef := range []int{8, 16} {
+			for _, noSelf := range []bool{true, false} {
+				cfg := DefaultRMAT(14, seed)
+				cfg.EdgeFactor, cfg.NoSelf = ef, noSelf
+				wantSrc, wantDst := rmatEdgesOracle(cfg)
+				src, dst, err := RMATEdges(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(src, wantSrc) || !reflect.DeepEqual(dst, wantDst) {
+					t.Fatalf("seed %d ef %d noSelf %v: RMATEdges differs from the float oracle", seed, ef, noSelf)
+				}
+				wantDeg := make([]int32, cfg.Vertices())
+				for e := range wantSrc {
+					wantDeg[wantSrc[e]]++
+					wantDeg[wantDst[e]]++
+				}
+				deg, err := RMATDegrees(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(deg, wantDeg) {
+					t.Fatalf("seed %d ef %d noSelf %v: RMATDegrees differs from the float oracle", seed, ef, noSelf)
+				}
 			}
 		}
 	}

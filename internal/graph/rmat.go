@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -57,45 +58,16 @@ func RMATEdges(cfg RMATConfig) (src, dst []int32, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	r := rng.New(cfg.Seed)
+	g := newRMATGen(cfg)
 	n := cfg.Edges()
 	src = make([]int32, 0, n)
 	dst = make([]int32, 0, n)
 	for e := int64(0); e < n; e++ {
-		var i, j int32
-		for {
-			i, j = rmatOne(cfg, r)
-			if cfg.NoSelf && i == j {
-				continue
-			}
-			break
-		}
+		i, j := g.edge()
 		src = append(src, i)
 		dst = append(dst, j)
 	}
 	return src, dst, nil
-}
-
-// rmatOne draws one edge by recursive quadrant descent.
-func rmatOne(cfg RMATConfig, r *rng.Rand) (int32, int32) {
-	var i, j int32
-	ab := cfg.A + cfg.B
-	abc := ab + cfg.C
-	for bit := 0; bit < cfg.Scale; bit++ {
-		u := r.Float64()
-		switch {
-		case u < cfg.A:
-			// top-left: no bits set
-		case u < ab:
-			j |= 1 << bit
-		case u < abc:
-			i |= 1 << bit
-		default:
-			i |= 1 << bit
-			j |= 1 << bit
-		}
-	}
-	return i, j
 }
 
 // RMATDegrees streams the generator and returns only the per-vertex
@@ -110,21 +82,85 @@ func RMATDegrees(cfg RMATConfig) ([]int32, error) {
 		return nil, err
 	}
 	deg := make([]int32, cfg.Vertices())
-	r := rng.New(cfg.Seed)
+	g := newRMATGen(cfg)
 	n := cfg.Edges()
 	for e := int64(0); e < n; e++ {
-		var i, j int32
-		for {
-			i, j = rmatOne(cfg, r)
-			if cfg.NoSelf && i == j {
-				continue
-			}
-			break
-		}
+		i, j := g.edge()
 		deg[i]++
 		deg[j]++
 	}
 	return deg, nil
+}
+
+// rmatGen draws R-MAT edges by recursive quadrant descent, one 53-bit
+// draw per level. Each draw k = Uint64()>>11 is the numerator of the
+// uniform variate k/2^53, so comparing it against the integer threshold
+// ceil(p*2^53) is exactly the float comparison k/2^53 < p: both k and
+// p*2^53 are exact in float64, and an integer is below a real number
+// exactly when it is below that number's ceiling.
+type rmatGen struct {
+	r      *rng.Rand
+	scale  int
+	noSelf bool
+	// t holds the thresholds for A, A+B and A+B+C, made non-decreasing
+	// so that the count of thresholds a draw reaches is the quadrant
+	// the first-match comparison chain would pick.
+	t [3]uint64
+}
+
+func newRMATGen(cfg RMATConfig) *rmatGen {
+	ab := cfg.A + cfg.B
+	abc := ab + cfg.C
+	g := &rmatGen{r: rng.New(cfg.Seed), scale: cfg.Scale, noSelf: cfg.NoSelf}
+	for q, p := range [3]float64{cfg.A, ab, abc} {
+		g.t[q] = rmatThreshold(p)
+		if q > 0 && g.t[q] < g.t[q-1] {
+			g.t[q] = g.t[q-1]
+		}
+	}
+	return g
+}
+
+// rmatThreshold returns the smallest k with k/2^53 >= p, capped at 2^53:
+// the 53-bit draws below it are exactly those that fall under p.
+func rmatThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN, which no draw falls under
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// edge draws one edge, redrawing self loops when NoSelf is set.
+func (g *rmatGen) edge() (int32, int32) {
+	for {
+		i, j := g.draw()
+		if !g.noSelf || i != j {
+			return i, j
+		}
+	}
+}
+
+// draw descends the quadrants without branching on the draws: q is the
+// number of thresholds reached (0 = top-left, 1 = top-right,
+// 2 = bottom-left, 3 = bottom-right), whose high bit sets the row bit
+// and low bit the column bit.
+func (g *rmatGen) draw() (int32, int32) {
+	var i, j int32
+	for bit := 0; bit < g.scale; bit++ {
+		q := g.quadrant(g.r.Uint64() >> 11)
+		i |= (q >> 1) << bit
+		j |= (q & 1) << bit
+	}
+	return i, j
+}
+
+// quadrant counts the thresholds a 53-bit draw k reaches. (k-t)>>63 is 1
+// exactly when k < t, as both are below 2^63.
+func (g *rmatGen) quadrant(k uint64) int32 {
+	return 3 - int32((k-g.t[0])>>63+(k-g.t[1])>>63+(k-g.t[2])>>63)
 }
 
 // RMAT generates the graph and assembles it into a deduplicated CSR

@@ -44,7 +44,11 @@ func BenchmarkWalkerSequential(b *testing.B) {
 
 // BenchmarkWalkerChase pointer-chases a 64 MiB working set: mostly
 // DRAM-level demand misses with no prefetch coverage, exercising the
-// level-count accounting and cache lookups.
+// level-count accounting and cache lookups. The chase's dependence is
+// simulated, not paid on the host: its cycle is a precomputed visit
+// order, so per-access host time is the translation and cache-directory
+// probes. allocs/op counts only the walker and chase construction and
+// must not grow with accesses/op.
 func BenchmarkWalkerChase(b *testing.B) {
 	benchWalk(b, func() trace.Generator {
 		return trace.NewChase(0, 64<<20/trace.LineSize, 4, 7)

@@ -36,30 +36,38 @@ func Figure2Sizes() []units.Bytes {
 	return out
 }
 
-// LatencyCurve measures the Figure 2 pointer-chase latency for each
-// working-set size at the given page size, prefetching disabled (as the
-// paper configures lmbench). maxAccesses caps the measured accesses per
-// point (<= 0 means a full lap) to bound runtime on large sets; a full
-// warm lap always precedes measurement. A non-nil reg aggregates every
-// point's walker counters (nil runs uninstrumented); a non-nil budget
-// charges one unit per access and trips the harness watchdog when
-// exhausted.
-func LatencyCurve(m *machine.Machine, page arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry, budget *engine.Budget) []LatPoint {
-	out := make([]LatPoint, 0, len(sizes))
+// LatencyCurves measures the Figure 2 pointer-chase latency for each
+// working-set size at each of the given page sizes, prefetching disabled
+// (as the paper configures lmbench); curves[p][i] is pages[p] at
+// sizes[i]. maxAccesses caps the measured accesses per point (<= 0 means
+// a full lap) to bound runtime on large sets; a full warm lap always
+// precedes measurement. Each working set's chase is built once and
+// rewound for every lap at every page size. A non-nil reg aggregates
+// every point's walker counters (nil runs uninstrumented); a non-nil
+// budget charges one unit per access and trips the harness watchdog
+// when exhausted.
+func LatencyCurves(m *machine.Machine, pages []arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry, budget *engine.Budget) [][]LatPoint {
+	curves := make([][]LatPoint, len(pages))
+	for p := range curves {
+		curves[p] = make([]LatPoint, 0, len(sizes))
+	}
 	for _, ws := range sizes {
 		lines := int(ws / 128)
 		if lines < 2 {
 			continue
 		}
-		w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg, Budget: budget})
-		// The warm lap always covers the whole working set: capping it
-		// would leave only a cache-sized warmed prefix and the measured
-		// pass would hit the wrong level.
-		warm := trace.NewChase(0, lines, 1, 42)
-		w.Run(warm, 0)
-		meas := trace.NewChase(0, lines, 1, 42)
-		res := w.Run(meas, maxAccesses)
-		out = append(out, LatPoint{WorkingSet: ws, AvgNs: res.AvgNs()})
+		chase := trace.NewChase(0, lines, 1, 42)
+		for p, page := range pages {
+			w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg, Budget: budget})
+			// The warm lap always covers the whole working set: capping it
+			// would leave only a cache-sized warmed prefix and the measured
+			// pass would hit the wrong level.
+			chase.Reset()
+			w.Run(chase, 0)
+			chase.Reset()
+			res := w.Run(chase, maxAccesses)
+			curves[p] = append(curves[p], LatPoint{WorkingSet: ws, AvgNs: res.AvgNs()})
+		}
 	}
-	return out
+	return curves
 }

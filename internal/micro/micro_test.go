@@ -23,7 +23,7 @@ func TestFigure2CurveShape(t *testing.T) {
 		32 * units.KiB, 256 * units.KiB, 2 * units.MiB,
 		32 * units.MiB, 120 * units.MiB, 384 * units.MiB,
 	}
-	small := LatencyCurve(m, arch.Page64K, sizes, 300000, nil, nil)
+	small := LatencyCurves(m, []arch.PageSize{arch.Page64K}, sizes, 300000, nil, nil)[0]
 	if len(small) != len(sizes) {
 		t.Fatalf("points = %d", len(small))
 	}
@@ -33,7 +33,7 @@ func TestFigure2CurveShape(t *testing.T) {
 				small[i-1].AvgNs, small[i].AvgNs, small[i].WorkingSet)
 		}
 	}
-	huge := LatencyCurve(m, arch.Page16M, sizes[len(sizes)-1:], 300000, nil, nil)
+	huge := LatencyCurves(m, []arch.PageSize{arch.Page16M}, sizes[len(sizes)-1:], 300000, nil, nil)[0]
 	if huge[0].AvgNs >= small[len(small)-1].AvgNs {
 		t.Error("huge pages not faster at 384 MiB")
 	}

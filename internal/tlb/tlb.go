@@ -83,16 +83,12 @@ func nextPow2(n int) int {
 // Translate looks up addr, updating both levels' contents, and returns
 // where the translation was found.
 func (t *TLB) Translate(addr uint64) Outcome {
+	// Each level fills on the probe that misses it.
 	out := TLBMiss
-	switch {
-	case t.erat.Lookup(addr):
+	if hit, _, _ := t.erat.Access(addr); hit {
 		out = ERATHit
-	case t.tlb.Lookup(addr):
+	} else if hit, _, _ := t.tlb.Access(addr); hit {
 		out = ERATMiss
-		t.erat.Insert(addr)
-	default:
-		t.tlb.Insert(addr)
-		t.erat.Insert(addr)
 	}
 	t.counts[out]++
 	return out

@@ -84,11 +84,14 @@ func (s *Strided) Reset() { s.pos = 0 }
 // the working set exactly once per lap, in a fixed random order (Sattolo's
 // algorithm guarantees one cycle). Each access depends on the previous
 // one, which is what makes it a latency — not bandwidth — benchmark.
+//
+// The dependence is simulated, not paid for on the host: the cycle is
+// flattened at construction into its visit order, so Next reads one
+// array sequentially. A Chase is built once per working set and rewound
+// with Reset for every lap that walks the same cycle.
 type Chase struct {
 	base  uint64
-	next  []int32 // next[i] = index of the line after line i
-	start int
-	cur   int
+	order []int32 // order[k] = index of the k-th line visited in a lap
 	laps  int
 	lap   int
 	step  int
@@ -96,31 +99,32 @@ type Chase struct {
 
 // NewChase builds a pointer chase over lines cache lines starting at base,
 // visiting each once per lap for laps laps, in a random cyclic order drawn
-// from seed.
+// from seed. Every lap starts at line 0.
 func NewChase(base uint64, lines, laps int, seed uint64) *Chase {
 	if lines < 2 {
 		panic("trace: chase needs at least two lines")
 	}
-	perm := make([]int32, lines)
-	for i := range perm {
-		perm[i] = int32(i)
+	next := make([]int32, lines)
+	for i := range next {
+		next[i] = int32(i)
 	}
 	r := rng.New(seed)
-	// Sattolo's algorithm: a uniformly random single-cycle permutation.
+	// Sattolo's algorithm: a uniformly random single-cycle permutation,
+	// read as next[i] = the line after line i.
 	for i := lines - 1; i > 0; i-- {
 		j := r.Intn(i)
-		perm[i], perm[j] = perm[j], perm[i]
+		next[i], next[j] = next[j], next[i]
 	}
-	next := make([]int32, lines)
-	for i := 0; i < lines; i++ {
-		next[i] = perm[i]
+	order := make([]int32, lines)
+	for k, cur := 1, next[0]; k < lines; k, cur = k+1, next[cur] {
+		order[k] = cur
 	}
-	return &Chase{base: base, next: next, laps: laps}
+	return &Chase{base: base, order: order, laps: laps}
 }
 
 // WorkingSet returns the size of the chased region.
 func (c *Chase) WorkingSet() units.Bytes {
-	return units.Bytes(len(c.next)) * LineSize
+	return units.Bytes(len(c.order)) * LineSize
 }
 
 // Next implements Generator.
@@ -128,10 +132,9 @@ func (c *Chase) Next() (uint64, bool) {
 	if c.lap >= c.laps {
 		return 0, false
 	}
-	addr := c.base + uint64(c.cur)*LineSize
-	c.cur = int(c.next[c.cur])
+	addr := c.base + uint64(c.order[c.step])*LineSize
 	c.step++
-	if c.step == len(c.next) {
+	if c.step == len(c.order) {
 		c.step = 0
 		c.lap++
 	}
@@ -139,7 +142,7 @@ func (c *Chase) Next() (uint64, bool) {
 }
 
 // Reset implements Generator.
-func (c *Chase) Reset() { c.cur = c.start; c.lap = 0; c.step = 0 }
+func (c *Chase) Reset() { c.lap = 0; c.step = 0 }
 
 // BlockedRandom divides a region into blocks of blockLines lines, visits
 // the blocks in a fixed random order, and scans each block sequentially —

@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestSequential(t *testing.T) {
@@ -92,6 +95,47 @@ func TestChaseDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different chases")
+		}
+	}
+}
+
+// pointerChase is the reference chase: it follows the Sattolo next[]
+// permutation one dependent hop at a time.
+func pointerChase(base uint64, lines, laps int, seed uint64) []uint64 {
+	next := make([]int32, lines)
+	for i := range next {
+		next[i] = int32(i)
+	}
+	r := rng.New(seed)
+	for i := lines - 1; i > 0; i-- {
+		j := r.Intn(i)
+		next[i], next[j] = next[j], next[i]
+	}
+	out := make([]uint64, 0, lines*laps)
+	cur := int32(0)
+	for k := 0; k < lines*laps; k++ {
+		out = append(out, base+uint64(cur)*LineSize)
+		cur = next[cur]
+	}
+	return out
+}
+
+// TestChaseMatchesPointerChase pins the flattened visit order to the
+// pointer-following reference, across laps and after Reset.
+func TestChaseMatchesPointerChase(t *testing.T) {
+	for _, tc := range []struct {
+		lines, laps int
+		seed        uint64
+	}{{2, 3, 1}, {3, 1, 9}, {257, 2, 7}, {4096, 2, 42}} {
+		want := pointerChase(1<<20, tc.lines, tc.laps, tc.seed)
+		g := NewChase(1<<20, tc.lines, tc.laps, tc.seed)
+		for pass := 0; pass < 2; pass++ {
+			got := Collect(g, 0)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("lines=%d laps=%d seed=%d pass %d: flattened chase differs from the pointer chase",
+					tc.lines, tc.laps, tc.seed, pass)
+			}
+			g.Reset()
 		}
 	}
 }
