@@ -91,18 +91,10 @@ func main() {
 	}
 }
 
-// Lint loads the patterns against the module containing dir and runs
-// the full suite, returning the surviving findings.
-func Lint(dir string, patterns []string) ([]analysis.Diagnostic, error) {
-	res, _, err := LintDetailed(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// LintDetailed is Lint with the full result — suppressed findings and
-// the allow inventory — plus the resolved module root.
+// LintDetailed loads the patterns against the module containing dir
+// and runs the full suite, returning the full result — surviving and
+// suppressed findings and the allow inventory — plus the resolved
+// module root.
 func LintDetailed(dir string, patterns []string) (*analysis.Result, string, error) {
 	loader, err := analysis.NewModuleLoader(dir)
 	if err != nil {

@@ -13,10 +13,11 @@ import (
 // Deliberate, justified deviations are visible as //p8:allow comments
 // in the tree, not as exclusions here.
 func TestRepoIsClean(t *testing.T) {
-	findings, err := Lint(".", []string{"./..."})
+	res, _, err := LintDetailed(".", []string{"./..."})
 	if err != nil {
 		t.Fatalf("p8lint failed to run: %v", err)
 	}
+	findings := res.Findings
 	for _, d := range findings {
 		t.Errorf("%v", d)
 	}

@@ -1,6 +1,6 @@
 package power8
 
-// Host-kernel benchmarks: the real, executable code paths (STREAM, SpMV,
+// Host-kernel benchmarks: the real, executable code paths (SpMV,
 // Jaccard, Hartree-Fock integrals, the cache/TLB/prefetch simulators)
 // measured on the host machine with standard testing.B semantics.
 
@@ -17,31 +17,9 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/rng"
 	"repro/internal/spmv"
-	"repro/internal/stream"
 	"repro/internal/tlb"
 	"repro/internal/trace"
 )
-
-func BenchmarkHostStreamTriad(b *testing.B) {
-	const n = 1 << 20
-	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	b.SetBytes(3 * 8 * n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stream.Triad(x, y, z, 3.0, 0)
-	}
-}
-
-func BenchmarkHostStreamRatio2to1(b *testing.B) {
-	k := stream.NewRatioKernel(2, 1, 1<<20)
-	b.SetBytes(int64(k.BytesPerStep()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step(0)
-	}
-}
 
 func BenchmarkHostSpMVCSR(b *testing.B) {
 	m := graph.Generate(graph.MatrixProfile{
@@ -213,20 +191,6 @@ func BenchmarkHostPageRank(b *testing.B) {
 		if _, iters := spmv.PageRank(g, 0.85, 1e-8, 100, 0); iters == 0 {
 			b.Fatal("no iterations")
 		}
-	}
-}
-
-func BenchmarkHostChaseL1(b *testing.B) {
-	b.ReportMetric(stream.HostChase(16*1024, 1_000_000, 1), "ns/load")
-	for i := 0; i < b.N; i++ {
-		_ = stream.HostChase(16*1024, 100_000, 1)
-	}
-}
-
-func BenchmarkHostChaseDRAM(b *testing.B) {
-	b.ReportMetric(stream.HostChase(256<<20, 1_000_000, 1), "ns/load")
-	for i := 0; i < b.N; i++ {
-		_ = stream.HostChase(256<<20, 100_000, 1)
 	}
 }
 

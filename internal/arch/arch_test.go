@@ -34,8 +34,8 @@ func TestTableI(t *testing.T) {
 	if p7.LoadPorts != 2 || p8.LoadPorts != 4 {
 		t.Errorf("load ports: P7=%d P8=%d", p7.LoadPorts, p8.LoadPorts)
 	}
-	if p8.L3Total() != 96*units.MiB {
-		t.Errorf("12-core POWER8 aggregate L3 = %v, want 96 MiB", p8.L3Total())
+	if l3 := units.Bytes(p8.Cores) * p8.L3PerCore.Size; l3 != 96*units.MiB {
+		t.Errorf("12-core POWER8 aggregate L3 = %v, want 96 MiB", l3)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestE870Peaks(t *testing.T) {
 	if got := s.Balance(); math.Abs(got-1.208) > 0.01 {
 		t.Errorf("balance = %v, want ~1.2", got)
 	}
-	if got := s.Memory.SustainablePeak().GBps(); math.Abs(got-230.4) > 0.1 {
+	if got := (s.Memory.ReadPeak() + s.Memory.WritePeak()).GBps(); math.Abs(got-230.4) > 0.1 {
 		t.Errorf("per-socket sustainable = %v, want 230.4", got)
 	}
 	if s.L4Total() != units.Bytes(8)*128*units.MiB {
@@ -271,7 +271,7 @@ func TestTopologyPanics(t *testing.T) {
 
 func TestTranslationReach(t *testing.T) {
 	x := E870().Xlate
-	if got := x.Reach(); got != 3*units.MiB {
+	if got := units.Bytes(x.ERATEntries) * x.ERATGranule; got != 3*units.MiB {
 		t.Errorf("ERAT reach = %v, want 3 MiB (the Figure 2 spike position)", got)
 	}
 }

@@ -43,12 +43,6 @@ func (m MemorySubsystem) WritePeak() units.Bandwidth {
 	return units.Bandwidth(float64(m.Centaur.WriteLink) * float64(m.CentaursPerChip))
 }
 
-// SustainablePeak returns the peak combined bandwidth per chip, reached
-// only at a 2:1 read:write mix where both link directions saturate.
-func (m MemorySubsystem) SustainablePeak() units.Bandwidth {
-	return units.Bandwidth(float64(m.ReadPeak()) + float64(m.WritePeak()))
-}
-
 // L4PerChip returns the aggregate L4 capacity attached to one chip.
 func (m MemorySubsystem) L4PerChip() units.Bytes {
 	return units.Bytes(m.CentaursPerChip) * m.Centaur.L4Size

@@ -98,19 +98,8 @@ func (c ChipSpec) DPFlopsPerCycle() int {
 	return c.VSXPipes * c.VSXWidthDP * 2
 }
 
-// PeakDP returns the chip's peak double-precision throughput.
-func (c ChipSpec) PeakDP() units.Rate {
-	return units.Rate(float64(c.Cores) * c.ClockGHz * 1e9 * float64(c.DPFlopsPerCycle()))
-}
-
 // CycleNs returns the duration of one clock cycle in nanoseconds.
 func (c ChipSpec) CycleNs() float64 { return 1.0 / c.ClockGHz }
-
-// HardwareThreads returns the number of hardware threads on the chip.
-func (c ChipSpec) HardwareThreads() int { return c.Cores * c.ThreadsPerCore }
-
-// L3Total returns the chip-level aggregated NUCA L3 capacity.
-func (c ChipSpec) L3Total() units.Bytes { return units.Bytes(c.Cores) * c.L3PerCore.Size }
 
 // POWER8 returns the POWER8 chip specification used in the paper's E870:
 // an 8-core chip at 4.35 GHz. Cache sizes, issue widths and SMT levels

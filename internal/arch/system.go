@@ -65,11 +65,6 @@ type TranslationSpec struct {
 	TLBEntries  int
 }
 
-// Reach returns the ERAT reach in bytes.
-func (t TranslationSpec) Reach() units.Bytes {
-	return units.Bytes(t.ERATEntries) * t.ERATGranule
-}
-
 // PageSize is a supported virtual-memory page size.
 type PageSize units.Bytes
 

@@ -12,12 +12,11 @@ func lineAddr(n int) uint64 { return uint64(n) * 128 }
 
 func TestLookupMissThenHit(t *testing.T) {
 	c := NewRaw(4, 2, 7)
-	if c.Lookup(lineAddr(1)) {
-		t.Error("cold lookup hit")
+	if hit, _, _ := c.Access(lineAddr(1)); hit {
+		t.Error("cold access hit")
 	}
-	c.Insert(lineAddr(1))
-	if !c.Lookup(lineAddr(1)) {
-		t.Error("inserted line missed")
+	if hit, _, _ := c.Access(lineAddr(1)); !hit {
+		t.Error("line filled by a miss missed")
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
@@ -28,7 +27,7 @@ func TestLRUEviction(t *testing.T) {
 	c := NewRaw(1, 2, 7) // one set, two ways
 	c.Insert(lineAddr(1))
 	c.Insert(lineAddr(2))
-	c.Lookup(lineAddr(1)) // make line 2 the LRU
+	c.Access(lineAddr(1)) // make line 2 the LRU
 	victim, evicted := c.Insert(lineAddr(3))
 	if !evicted || victim != lineAddr(2) {
 		t.Errorf("evicted %v (%d), want line 2", evicted, victim)
@@ -60,14 +59,17 @@ func TestInsertPrefersEmptyWay(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := NewRaw(2, 2, 7)
 	c.Insert(lineAddr(4))
-	if !c.Invalidate(lineAddr(4)) {
-		t.Error("Invalidate missed present line")
+	if !c.Take(lineAddr(4)) {
+		t.Error("Take missed present line")
 	}
-	if c.Invalidate(lineAddr(4)) {
-		t.Error("Invalidate hit absent line")
+	if c.Take(lineAddr(4)) {
+		t.Error("Take hit the line it dropped")
 	}
 	if c.Contains(lineAddr(4)) {
-		t.Error("line still present after invalidate")
+		t.Error("line still present after Take")
+	}
+	if c.Hits() != 1 || c.Misses() != 1 {
+		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
 	}
 }
 
@@ -104,8 +106,8 @@ func TestCapacityRespected(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	c := NewRaw(2, 2, 7)
-	c.Insert(lineAddr(1))
-	c.Lookup(lineAddr(1))
+	c.Access(lineAddr(1))
+	c.Access(lineAddr(1))
 	c.Flush()
 	if c.Contains(lineAddr(1)) || c.Hits() != 0 || c.Misses() != 0 {
 		t.Error("Flush incomplete")
@@ -155,9 +157,9 @@ func TestHierarchyL4MemorySide(t *testing.T) {
 	h := newTestHierarchy()
 	addr := uint64(1 << 30)
 	h.Read(addr, true) // DRAM -> fills L4
-	// Evict from core caches by invalidating directly.
-	h.L1.Invalidate(addr)
-	h.L2.Invalidate(addr)
+	// Evict from core caches by taking the line out directly.
+	h.L1.Take(addr)
+	h.L2.Take(addr)
 	if got := h.Read(addr, true); got != LevelL4 {
 		t.Errorf("read after core eviction = %v, want L4", got)
 	}
@@ -167,8 +169,8 @@ func TestHierarchyRemoteHomeSkipsL4(t *testing.T) {
 	h := newTestHierarchy()
 	addr := uint64(1 << 30)
 	h.Read(addr, false)
-	h.L1.Invalidate(addr)
-	h.L2.Invalidate(addr)
+	h.L1.Take(addr)
+	h.L2.Take(addr)
 	if got := h.Read(addr, false); got != LevelDRAM {
 		t.Errorf("remote-homed line hit %v, want DRAM (no local L4 fill)", got)
 	}
@@ -384,17 +386,13 @@ func TestSetAssocMatchesStampLRU(t *testing.T) {
 						g.name, seed, op, addr/128, what, a, b)
 				}
 				switch k := r.Intn(100); {
-				case k < 30:
-					if a, b := got.Lookup(addr), ref.Lookup(addr); a != b {
-						fail("Lookup", a, b)
-					}
-				case k < 55:
+				case k < 35:
 					av, ae := got.Insert(addr)
 					bv, be := ref.Insert(addr)
 					if av != bv || ae != be {
 						fail("Insert", [2]any{av, ae}, [2]any{bv, be})
 					}
-				case k < 75:
+				case k < 70:
 					ah, av, ae := got.Access(addr)
 					bh := ref.Lookup(addr)
 					var bv uint64
@@ -405,7 +403,7 @@ func TestSetAssocMatchesStampLRU(t *testing.T) {
 					if ah != bh || av != bv || ae != be {
 						fail("Access", [3]any{ah, av, ae}, [3]any{bh, bv, be})
 					}
-				case k < 85:
+				case k < 95:
 					a := got.Take(addr)
 					b := ref.Lookup(addr)
 					if b {
@@ -413,10 +411,6 @@ func TestSetAssocMatchesStampLRU(t *testing.T) {
 					}
 					if a != b {
 						fail("Take", a, b)
-					}
-				case k < 95:
-					if a, b := got.Invalidate(addr), ref.Invalidate(addr); a != b {
-						fail("Invalidate", a, b)
 					}
 				case k < 99:
 					if a, b := got.Contains(addr), ref.Contains(addr); a != b {
@@ -530,4 +524,39 @@ func TestHierarchyMatchesProbeThenFill(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Sets returns the number of sets.
+func (c *SetAssoc) Sets() int { return c.sets }
+
+// Ways returns the associativity.
+func (c *SetAssoc) Ways() int { return c.ways }
+
+// Capacity returns the number of lines the cache can hold.
+func (c *SetAssoc) Capacity() int { return c.sets * c.ways }
+
+// Hits returns the number of Access and Take hits so far.
+func (c *SetAssoc) Hits() uint64 { return c.hits }
+
+// Misses returns the number of Access and Take misses so far.
+func (c *SetAssoc) Misses() uint64 { return c.misses }
+
+// LevelCounts returns how many reads each level satisfied.
+func (h *Hierarchy) LevelCounts() map[Level]uint64 {
+	m := make(map[Level]uint64, int(numLevels))
+	for l, n := range h.counts {
+		if n > 0 {
+			m[Level(l)] = n
+		}
+	}
+	return m
+}
+
+// Reads returns the total number of Read calls.
+func (h *Hierarchy) Reads() uint64 {
+	var total uint64
+	for _, n := range h.counts {
+		total += n
+	}
+	return total
 }

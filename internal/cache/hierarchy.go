@@ -163,26 +163,6 @@ func (h *Hierarchy) ContainsAny(addr uint64) bool {
 		h.L3Local.Contains(addr) || h.L3Victim.Contains(addr)
 }
 
-// LevelCounts returns how many reads each level satisfied.
-func (h *Hierarchy) LevelCounts() map[Level]uint64 {
-	m := make(map[Level]uint64, int(numLevels))
-	for l, n := range h.counts {
-		if n > 0 {
-			m[Level(l)] = n
-		}
-	}
-	return m
-}
-
-// Reads returns the total number of Read calls.
-func (h *Hierarchy) Reads() uint64 {
-	var total uint64
-	for _, n := range h.counts {
-		total += n
-	}
-	return total
-}
-
 // Flush empties every level and clears statistics.
 func (h *Hierarchy) Flush() {
 	h.L1.Flush()

@@ -58,21 +58,6 @@ func NewRaw(sets, ways int, lineShift uint) *SetAssoc {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// Capacity returns the number of lines the cache can hold.
-func (c *SetAssoc) Capacity() int { return c.sets * c.ways }
-
-// Hits returns the number of lookup hits so far.
-func (c *SetAssoc) Hits() uint64 { return c.hits }
-
-// Misses returns the number of lookup misses so far.
-func (c *SetAssoc) Misses() uint64 { return c.misses }
-
 // probe finds addr's set and scans it once. On a hit, way is the way
 // holding the line; on a miss, way is where a fill goes: the first empty
 // way, or the last (LRU) way of a full set.
@@ -123,18 +108,6 @@ func (c *SetAssoc) fill(set []uint64, line uint64, way int, hit bool) (victimAdd
 	return (old - 1) << c.lineShift, true
 }
 
-// Lookup probes for addr, updating LRU state and hit/miss counters.
-func (c *SetAssoc) Lookup(addr uint64) bool {
-	set, line, way, hit := c.probe(addr)
-	if !hit {
-		c.misses++
-		return false
-	}
-	promote(set, way, line)
-	c.hits++
-	return true
-}
-
 // Contains probes for addr without touching LRU state or counters.
 func (c *SetAssoc) Contains(addr uint64) bool {
 	_, _, _, hit := c.probe(addr)
@@ -148,9 +121,10 @@ func (c *SetAssoc) Insert(addr uint64) (victimAddr uint64, evicted bool) {
 	return c.fill(c.probe(addr))
 }
 
-// Access is Lookup followed, on a miss, by Insert, with a single probe
-// of the set: it counts the hit or miss, leaves the line most recently
-// used either way, and reports the line a miss evicted.
+// Access probes for addr with a single scan of its set, counting a hit
+// or a miss. Either way it leaves the line most recently used: a miss
+// fills it, evicting the LRU way of a full set, and reports the line
+// evicted.
 func (c *SetAssoc) Access(addr uint64) (hit bool, victimAddr uint64, evicted bool) {
 	set, line, way, hit := c.probe(addr)
 	if hit {
@@ -162,9 +136,9 @@ func (c *SetAssoc) Access(addr uint64) (hit bool, victimAddr uint64, evicted boo
 	return hit, victimAddr, evicted
 }
 
-// Take is Lookup followed, on a hit, by Invalidate, with a single probe
-// of the set: the victim-cache read that hands a line back toward the
-// core and drops it here.
+// Take probes for addr with a single scan of its set, counting a hit or
+// a miss, and drops the line on a hit: the victim-cache read that hands
+// a line back toward the core.
 func (c *SetAssoc) Take(addr uint64) bool {
 	set, _, way, hit := c.probe(addr)
 	if !hit {
@@ -174,15 +148,6 @@ func (c *SetAssoc) Take(addr uint64) bool {
 	remove(set, way)
 	c.hits++
 	return true
-}
-
-// Invalidate removes addr's line if present, reporting whether it was.
-func (c *SetAssoc) Invalidate(addr uint64) bool {
-	set, _, way, hit := c.probe(addr)
-	if hit {
-		remove(set, way)
-	}
-	return hit
 }
 
 // ResetStats clears hit/miss counters without touching contents.

@@ -5,13 +5,6 @@ import (
 	"repro/internal/memsys"
 )
 
-// FabricCalibration fingerprints the fabric efficiency profile.
-func FabricCalibration(c fabric.Calibration) Fingerprint {
-	h := NewHasher("canon/fabric-calib/v1")
-	AppendFabricCalibration(h, c)
-	return h.Sum()
-}
-
 // AppendFabricCalibration encodes the profile into an ongoing hash.
 func AppendFabricCalibration(h *Hasher, c fabric.Calibration) {
 	h.Section("fabric-calib")
@@ -20,14 +13,6 @@ func AppendFabricCalibration(h *Hasher, c fabric.Calibration) {
 	h.F64(c.BiDirFactor)
 	h.F64(c.InterGroupRouteCapGBs)
 	h.F64(c.ChipInterleavedAbsorbGBs)
-}
-
-// MemsysCalibration fingerprints the memory-model constants, including
-// the read:write efficiency curve's breakpoints.
-func MemsysCalibration(c memsys.Calibration) Fingerprint {
-	h := NewHasher("canon/memsys-calib/v1")
-	AppendMemsysCalibration(h, c)
-	return h.Sum()
 }
 
 // AppendMemsysCalibration encodes the constants into an ongoing hash.

@@ -91,12 +91,6 @@ func (h *Hasher) Str(s string) {
 	h.d.Write([]byte(s))
 }
 
-// Bytes writes a length-prefixed byte slice.
-func (h *Hasher) Bytes(p []byte) {
-	h.U64(uint64(len(p)))
-	h.d.Write(p)
-}
-
 // F64s writes a length-prefixed slice of floats.
 func (h *Hasher) F64s(vs []float64) {
 	h.U64(uint64(len(vs)))

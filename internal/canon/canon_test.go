@@ -36,7 +36,7 @@ func TestPrimitivesGolden(t *testing.T) {
 	h.Bool(true)
 	h.Bool(false)
 	h.Str("power8")
-	h.Bytes([]byte{0xde, 0xad})
+	h.Str("\xde\xad") // a length-prefixed byte string
 	h.F64s([]float64{1, 2.5})
 	h.Section("sub")
 	h.Fp(canon.Fingerprint{1, 2, 3})
@@ -57,11 +57,11 @@ func TestE870Golden(t *testing.T) {
 		got  canon.Fingerprint
 		want string
 	}{
-		{"spec", canon.Spec(spec), goldenE870Spec},
-		{"fabric-calib", canon.FabricCalibration(fc), goldenFabricCalib},
-		{"memsys-calib", canon.MemsysCalibration(mc), goldenMemsysCalib},
+		{"spec", specFP(spec), goldenE870Spec},
+		{"fabric-calib", fabricCalibFP(fc), goldenFabricCalib},
+		{"memsys-calib", memsysCalibFP(mc), goldenMemsysCalib},
 		{"machine", canon.Machine(machine.New(spec)), goldenE870Machine},
-		{"machine-inputs", canon.MachineInputs(spec, fc, mc), goldenMachineInput},
+		{"machine-inputs", machineInputsFP(spec, fc, mc), goldenMachineInput},
 	} {
 		if got := tc.got.String(); got != tc.want {
 			t.Errorf("%s fingerprint drifted:\n got  %s\n want %s", tc.name, got, tc.want)
@@ -72,7 +72,7 @@ func TestE870Golden(t *testing.T) {
 // TestStability recomputes each fingerprint from a fresh input graph:
 // equal logical inputs must hash equal however they were built.
 func TestStability(t *testing.T) {
-	if canon.Spec(arch.E870()) != canon.Spec(arch.E870()) {
+	if specFP(arch.E870()) != specFP(arch.E870()) {
 		t.Error("two E870 specs fingerprint differently")
 	}
 	if canon.Machine(machine.New(arch.E870())) != canon.Machine(machine.New(arch.E870())) {
@@ -84,37 +84,37 @@ func TestStability(t *testing.T) {
 // moves: a canonical encoding that ignores a model-relevant field would
 // serve wrong cached results.
 func TestSensitivity(t *testing.T) {
-	base := canon.Spec(arch.E870())
+	base := specFP(arch.E870())
 
 	s := arch.E870()
 	s.Name = "E870'"
-	if canon.Spec(s) == base {
+	if specFP(s) == base {
 		t.Error("spec name change did not move the fingerprint")
 	}
 
 	s = arch.E870()
 	s.Chip.ClockGHz += 0.001
-	if canon.Spec(s) == base {
+	if specFP(s) == base {
 		t.Error("clock change did not move the fingerprint")
 	}
 
 	s = arch.E870()
 	s.Latency.LocalDRAMNs += 1
-	if canon.Spec(s) == base {
+	if specFP(s) == base {
 		t.Error("latency change did not move the fingerprint")
 	}
 
 	fc := fabric.E870Calibration()
-	fcBase := canon.FabricCalibration(fc)
+	fcBase := fabricCalibFP(fc)
 	fc.UniEfficiency *= 0.999
-	if canon.FabricCalibration(fc) == fcBase {
+	if fabricCalibFP(fc) == fcBase {
 		t.Error("fabric calibration change did not move the fingerprint")
 	}
 
 	mc := memsys.E870Calibration()
-	mcBase := canon.MemsysCalibration(mc)
+	mcBase := memsysCalibFP(mc)
 	mc.PerThreadStreamGBs += 0.1
-	if canon.MemsysCalibration(mc) == mcBase {
+	if memsysCalibFP(mc) == mcBase {
 		t.Error("memsys calibration change did not move the fingerprint")
 	}
 }
@@ -151,4 +151,40 @@ func TestFingerprintStrings(t *testing.T) {
 	if got := f.String(); len(got) != 64 || got[:10] != "abcdef0123" {
 		t.Errorf("String() = %q, want 64 hex digits starting abcdef0123", got)
 	}
+}
+
+// The fingerprints below hash one component each, under the domain tags
+// the goldens were frozen with, so each appender's encoding is pinned on
+// its own as well as inside canon.Machine.
+
+// specFP fingerprints a complete system description.
+func specFP(s *arch.SystemSpec) canon.Fingerprint {
+	h := canon.NewHasher("canon/spec/v1")
+	canon.AppendSpec(h, s)
+	return h.Sum()
+}
+
+// fabricCalibFP fingerprints the fabric efficiency profile.
+func fabricCalibFP(c fabric.Calibration) canon.Fingerprint {
+	h := canon.NewHasher("canon/fabric-calib/v1")
+	canon.AppendFabricCalibration(h, c)
+	return h.Sum()
+}
+
+// memsysCalibFP fingerprints the memory-model constants, including the
+// read:write efficiency curve's breakpoints.
+func memsysCalibFP(c memsys.Calibration) canon.Fingerprint {
+	h := canon.NewHasher("canon/memsys-calib/v1")
+	canon.AppendMemsysCalibration(h, c)
+	return h.Sum()
+}
+
+// machineInputsFP fingerprints the constructor inputs of a healthy
+// machine without building it.
+func machineInputsFP(spec *arch.SystemSpec, fc fabric.Calibration, mc memsys.Calibration) canon.Fingerprint {
+	h := canon.NewHasher("canon/machine-inputs/v1")
+	canon.AppendSpec(h, spec)
+	canon.AppendFabricCalibration(h, fc)
+	canon.AppendMemsysCalibration(h, mc)
+	return h.Sum()
 }

@@ -22,17 +22,6 @@ func Machine(m *machine.Machine) Fingerprint {
 	return h.Sum()
 }
 
-// MachineInputs fingerprints the constructor inputs of a healthy
-// machine without building it: machine.NewWithCalibration(spec, fc, mc)
-// is a pure function of exactly these values.
-func MachineInputs(spec *arch.SystemSpec, fc fabric.Calibration, mc memsys.Calibration) Fingerprint {
-	h := NewHasher("canon/machine-inputs/v1")
-	AppendSpec(h, spec)
-	AppendFabricCalibration(h, fc)
-	AppendMemsysCalibration(h, mc)
-	return h.Sum()
-}
-
 // appendFabricDegradation encodes the lane-sparing overlay by walking
 // the topology's links in construction order and recording each link's
 // remaining-width factor — the overlay itself is map-backed, and this

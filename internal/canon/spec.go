@@ -4,16 +4,6 @@ import (
 	"repro/internal/arch"
 )
 
-// Spec fingerprints a complete system description: chip, memory
-// subsystem, topology, latency profile, translation hardware and the
-// guard map of a degraded spec. Two specs with equal fingerprints
-// produce bit-identical model answers.
-func Spec(s *arch.SystemSpec) Fingerprint {
-	h := NewHasher("canon/spec/v1")
-	AppendSpec(h, s)
-	return h.Sum()
-}
-
 // AppendSpec encodes a spec into an ongoing hash (for composite keys).
 func AppendSpec(h *Hasher, s *arch.SystemSpec) {
 	h.Section("spec")

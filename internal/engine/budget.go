@@ -135,19 +135,3 @@ func (b *Budget) Cancel() {
 func (b *Budget) Cancelled() bool {
 	return b != nil && b.cancelled.Load()
 }
-
-// Spent returns the number of events charged so far.
-func (b *Budget) Spent() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.spent
-}
-
-// Limit returns the configured event limit (0 = unlimited).
-func (b *Budget) Limit() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit
-}

@@ -85,3 +85,19 @@ func TestBudgetLargeChargesPollCancellation(t *testing.T) {
 		t.Fatalf("large charge missed the cancellation flag: %v", tr)
 	}
 }
+
+// Spent returns the number of events charged so far.
+func (b *Budget) Spent() uint64 {
+	if b == nil {
+		return 0
+	}
+	return b.spent
+}
+
+// Limit returns the configured event limit (0 = unlimited).
+func (b *Budget) Limit() uint64 {
+	if b == nil {
+		return 0
+	}
+	return b.limit
+}

@@ -103,7 +103,8 @@ func (q *eventQueue) pop() scheduled {
 //
 // The simulator keeps its own observability counters as plain fields —
 // it is single-goroutine by construction, so they cost one ALU op each —
-// and PublishStats flushes them into an obs registry at run boundaries.
+// and ShardedSim.PublishStats flushes its lanes' counters into an obs
+// registry at run boundaries.
 // This is the flush-at-the-end idiom documented in internal/obs: the
 // event dispatch loop itself carries no instrumentation overhead.
 type Sim struct {
@@ -112,29 +113,7 @@ type Sim struct {
 	queue    eventQueue
 	events   uint64
 	maxQueue int
-	// budget, when non-nil, is charged one unit per executed event and
-	// panics with a Trip when exhausted or cancelled (the harness's
-	// watchdog against runaway simulations). Nil costs one branch.
-	budget *Budget
 }
-
-// SetBudget attaches a watchdog budget; every executed event charges
-// one unit. A nil budget (the default) is unlimited.
-func (s *Sim) SetBudget(b *Budget) { s.budget = b }
-
-// Now returns the current simulated time.
-func (s *Sim) Now() Time { return s.now }
-
-// Events returns the number of events executed so far.
-func (s *Sim) Events() uint64 { return s.events }
-
-// Scheduled returns the number of events scheduled so far (including
-// resource service completions).
-func (s *Sim) Scheduled() uint64 { return s.seq }
-
-// MaxQueueDepth returns the event queue's high-water mark: the largest
-// number of pending events observed at once.
-func (s *Sim) MaxQueueDepth() int { return s.maxQueue }
 
 // At schedules ev at absolute time t, which must not be in the past.
 func (s *Sim) At(t Time, ev Event) {
@@ -150,19 +129,6 @@ func (s *Sim) At(t Time, ev Event) {
 
 // After schedules ev delay nanoseconds from now; negative delays panic.
 func (s *Sim) After(delay Time, ev Event) { s.At(s.now+delay, ev) }
-
-// Step executes the next event. It reports false when the queue is empty.
-func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	next := s.queue.pop()
-	s.now = next.at
-	s.events++
-	s.budget.Charge(1)
-	s.dispatch(next)
-	return true
-}
 
 // dispatch runs one popped event: the resource release protocol first,
 // then the scheduled callback.
@@ -195,7 +161,6 @@ func (s *Sim) Run(horizon Time) uint64 {
 		next := s.queue.pop()
 		s.now = next.at
 		s.events++
-		s.budget.Charge(1)
 		s.dispatch(next)
 	}
 	return s.events - start
@@ -289,19 +254,4 @@ func (r *Resource) release(s *Sim) {
 	if next, ok := r.dequeue(); ok {
 		r.start(s, next.hold, next.done)
 	}
-}
-
-// QueueLen returns the number of waiting requests.
-func (r *Resource) QueueLen() int { return len(r.waiting) - r.head }
-
-// Busy returns the number of occupied servers.
-func (r *Resource) Busy() int { return r.busy }
-
-// Utilization returns the mean server occupancy over [0, now] as a
-// fraction of capacity; it returns 0 at time zero.
-func (r *Resource) Utilization(s *Sim) float64 {
-	if s.now == 0 {
-		return 0
-	}
-	return r.BusyTime / (float64(s.now) * float64(r.servers))
 }

@@ -175,3 +175,36 @@ func TestStepEmptyQueue(t *testing.T) {
 		t.Error("Step on empty queue returned true")
 	}
 }
+
+// Now returns the current simulated time.
+func (s *Sim) Now() Time { return s.now }
+
+// Events returns the number of events executed so far.
+func (s *Sim) Events() uint64 { return s.events }
+
+// Step executes the next event. It reports false when the queue is empty.
+func (s *Sim) Step() bool {
+	if len(s.queue) == 0 {
+		return false
+	}
+	next := s.queue.pop()
+	s.now = next.at
+	s.events++
+	s.dispatch(next)
+	return true
+}
+
+// QueueLen returns the number of waiting requests.
+func (r *Resource) QueueLen() int { return len(r.waiting) - r.head }
+
+// Busy returns the number of occupied servers.
+func (r *Resource) Busy() int { return r.busy }
+
+// Utilization returns the mean server occupancy over [0, now] as a
+// fraction of capacity; it returns 0 at time zero.
+func (r *Resource) Utilization(s *Sim) float64 {
+	if s.now == 0 {
+		return 0
+	}
+	return r.BusyTime / (float64(s.now) * float64(r.servers))
+}

@@ -137,28 +137,6 @@ func NewShardedSim(lanes int, lookahead Time) *ShardedSim {
 // goroutine ever touches the budget.
 func (ss *ShardedSim) SetBudget(b *Budget) { ss.budget = b }
 
-// Lanes returns the lane count.
-func (ss *ShardedSim) Lanes() int { return len(ss.lanes) }
-
-// Lookahead returns the conservative lookahead the simulation was
-// built with.
-func (ss *ShardedSim) Lookahead() Time { return ss.minDelay }
-
-// Events returns the total number of events executed across all lanes.
-func (ss *ShardedSim) Events() uint64 {
-	var n uint64
-	for _, l := range ss.lanes {
-		n += l.events
-	}
-	return n
-}
-
-// LaneEvents returns one lane's executed-event count.
-func (ss *ShardedSim) LaneEvents(lane int) uint64 { return ss.lanes[lane].events }
-
-// LaneNow returns one lane's clock.
-func (ss *ShardedSim) LaneNow(lane int) Time { return ss.lanes[lane].now }
-
 // At schedules ev on a lane at absolute time t (not in the lane's
 // past). Use it for initial conditions; events already running on the
 // lane reach their own *Sim through the callback argument.

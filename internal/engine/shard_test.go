@@ -301,3 +301,12 @@ func TestMergedScheduledCountsExcludeLaneBase(t *testing.T) {
 		}
 	}
 }
+
+// Lanes returns the lane count.
+func (ss *ShardedSim) Lanes() int { return len(ss.lanes) }
+
+// LaneEvents returns one lane's executed-event count.
+func (ss *ShardedSim) LaneEvents(lane int) uint64 { return ss.lanes[lane].events }
+
+// LaneNow returns one lane's clock.
+func (ss *ShardedSim) LaneNow(lane int) Time { return ss.lanes[lane].now }

@@ -175,19 +175,6 @@ func (r *Report) Passed() bool {
 // or cancellation) instead of completing.
 func (r *Report) Failed() bool { return r.Err != "" }
 
-// Status summarizes the report for rendering: "ok", "MISMATCH" (ran
-// but a check failed) or "FAILED" (did not complete).
-func (r *Report) Status() string {
-	switch {
-	case r.Failed():
-		return "FAILED"
-	case !r.Passed():
-		return "MISMATCH"
-	default:
-		return "ok"
-	}
-}
-
 // Experiment is one table or figure reproduction.
 type Experiment struct {
 	ID    string

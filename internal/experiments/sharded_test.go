@@ -82,3 +82,16 @@ func TestExperimentsShardCountInvariant(t *testing.T) {
 		})
 	}
 }
+
+// Status summarizes the report for rendering: "ok", "MISMATCH" (ran
+// but a check failed) or "FAILED" (did not complete).
+func (r *Report) Status() string {
+	switch {
+	case r.Failed():
+		return "FAILED"
+	case !r.Passed():
+		return "MISMATCH"
+	default:
+		return "ok"
+	}
+}

@@ -73,14 +73,6 @@ func (d *Degradation) Degraded() bool {
 	return d != nil && len(d.factors) > 0
 }
 
-// Links returns the number of derated links.
-func (d *Degradation) Links() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.factors)
-}
-
 // Validate checks every derated link against the topology: the pair
 // must be wired with a link of the recorded kind. Links are checked in
 // canonical (a, b, kind) order so that when several are invalid the

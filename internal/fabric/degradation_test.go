@@ -92,3 +92,11 @@ func TestDegradedNetworkBandwidth(t *testing.T) {
 		t.Error("X-lane sparing changed the A-bus aggregate")
 	}
 }
+
+// Links returns the number of derated links.
+func (d *Degradation) Links() int {
+	if d == nil {
+		return 0
+	}
+	return len(d.factors)
+}

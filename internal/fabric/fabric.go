@@ -106,9 +106,6 @@ func (n *Network) Degradation() *Degradation { return n.deg }
 // built with (internal/canon hashes it into machine fingerprints).
 func (n *Network) Calibration() Calibration { return n.calib }
 
-// Topology exposes the underlying wiring.
-func (n *Network) Topology() *arch.Topology { return n.topo }
-
 // RouteBetween returns the latency-relevant route between two chips:
 // none (same chip), a single X hop (same group), a single A hop (paired
 // chips), or A+X (everything else). Bandwidth may use additional routes;

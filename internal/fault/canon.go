@@ -28,12 +28,3 @@ func (p *Plan) AppendCanon(h *canon.Hasher) {
 		h.F64(e.ReplayNs)
 	}
 }
-
-// Fingerprint returns the plan's canonical content address. A nil plan
-// and an empty plan fingerprint differently from each other and from
-// any non-trivial plan.
-func (p *Plan) Fingerprint() canon.Fingerprint {
-	h := canon.NewHasher("canon/fault-plan/v1")
-	p.AppendCanon(h)
-	return h.Sum()
-}

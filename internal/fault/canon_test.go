@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/canon"
+)
 
 // TestPlanFingerprint: nil, empty and populated plans hash apart, and
 // event order matters (lane sparing composes, but the plan identity is
@@ -19,4 +23,13 @@ func TestPlanFingerprint(t *testing.T) {
 	if a.Fingerprint() != a.Fingerprint() {
 		t.Error("plan fingerprint unstable")
 	}
+}
+
+// Fingerprint returns the plan's canonical content address. A nil plan
+// and an empty plan fingerprint differently from each other and from
+// any non-trivial plan.
+func (p *Plan) Fingerprint() canon.Fingerprint {
+	h := canon.NewHasher("canon/fault-plan/v1")
+	p.AppendCanon(h)
+	return h.Sum()
 }

@@ -58,35 +58,6 @@ func (m *CSR) Bytes() units.Bytes {
 	return units.Bytes(len(m.RowPtr)*8 + len(m.ColIdx)*4 + len(m.Vals)*8)
 }
 
-// Validate checks structural invariants: monotone row pointers, in-range
-// sorted unique column indices, and matching array lengths.
-func (m *CSR) Validate() error {
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("graph: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
-	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != m.NNZ() {
-		return fmt.Errorf("graph: RowPtr endpoints %d..%d, want 0..%d", m.RowPtr[0], m.RowPtr[m.Rows], m.NNZ())
-	}
-	if len(m.Vals) != len(m.ColIdx) {
-		return fmt.Errorf("graph: %d values for %d column indices", len(m.Vals), len(m.ColIdx))
-	}
-	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
-			return fmt.Errorf("graph: RowPtr not monotone at row %d", i)
-		}
-		cols, _ := m.Row(i)
-		for j, c := range cols {
-			if c < 0 || int(c) >= m.Cols {
-				return fmt.Errorf("graph: row %d column %d out of range", i, c)
-			}
-			if j > 0 && cols[j-1] >= c {
-				return fmt.Errorf("graph: row %d columns not sorted/unique at %d", i, j)
-			}
-		}
-	}
-	return nil
-}
-
 // COO is an edge/triplet list used for assembly.
 type COO struct {
 	Rows, Cols int
@@ -219,23 +190,4 @@ func Dense(n int) *CSR {
 		}
 	}
 	return m
-}
-
-// DegreeHistogram returns counts of rows per log2-degree bucket:
-// bucket[k] counts rows with degree in [2^k, 2^(k+1)), bucket[0] also
-// counting degree-0 and 1 rows.
-func (m *CSR) DegreeHistogram() []int64 {
-	var hist []int64
-	for i := 0; i < m.Rows; i++ {
-		d := m.Degree(i)
-		b := 0
-		for v := d; v > 1; v >>= 1 {
-			b++
-		}
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	return hist
 }

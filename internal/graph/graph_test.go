@@ -392,22 +392,6 @@ func TestGeneratePowerLawIsSkewed(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	coo := &COO{Rows: 4, Cols: 8}
-	coo.Append(0, 0, 1) // degree 1 -> bucket 0
-	for j := int32(0); j < 4; j++ {
-		coo.Append(1, j, 1) // degree 4 -> bucket 2
-	}
-	m := FromCOO(coo)
-	h := m.DegreeHistogram()
-	if h[0] != 3 { // rows 0 (deg 1), 2, 3 (deg 0)
-		t.Errorf("bucket 0 = %d, want 3", h[0])
-	}
-	if len(h) < 3 || h[2] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestCSRBytes(t *testing.T) {
 	m := Dense(8)
 	want := int64(9*8 + 64*4 + 64*8)

@@ -125,22 +125,3 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	return FromCOO(coo), nil
 }
-
-// WriteMatrixMarket emits a CSR matrix as coordinate-form real general
-// Matrix Market.
-func WriteMatrixMarket(w io.Writer, m *CSR) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n",
-		m.Rows, m.Cols, m.NNZ()); err != nil {
-		return err
-	}
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k := range cols {
-			if _, err := fmt.Fprintf(bw, "%d %d %g\n", i+1, cols[k]+1, vals[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

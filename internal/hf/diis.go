@@ -39,21 +39,6 @@ func diisError(f, d, s *linalg.Matrix) *linalg.Matrix {
 	return fds
 }
 
-// maxErr returns the error vector's max-abs element, the DIIS
-// convergence measure.
-func maxErr(e *linalg.Matrix) float64 {
-	var v float64
-	for _, x := range e.Data {
-		if x < 0 {
-			x = -x
-		}
-		if x > v {
-			v = x
-		}
-	}
-	return v
-}
-
 // push adds a Fock/error pair, dropping the oldest beyond capacity.
 func (dx *diis) push(f, e *linalg.Matrix) {
 	dx.focks = append(dx.focks, f.Clone())

@@ -130,3 +130,18 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 		t.Errorf("solution = %v, want [3 2]", x)
 	}
 }
+
+// maxErr returns the error vector's max-abs element, the DIIS
+// convergence measure.
+func maxErr(e *linalg.Matrix) float64 {
+	var v float64
+	for _, x := range e.Data {
+		if x < 0 {
+			x = -x
+		}
+		if x > v {
+			v = x
+		}
+	}
+	return v
+}

@@ -98,11 +98,6 @@ type EnergyComponents struct {
 	NuclearRepulsion  float64
 }
 
-// Total returns the components' sum.
-func (e EnergyComponents) Total() float64 {
-	return e.Kinetic + e.NuclearAttraction + e.TwoElectron + e.NuclearRepulsion
-}
-
 // Result summarizes an SCF run.
 type Result struct {
 	Molecule    string

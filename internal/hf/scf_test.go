@@ -259,3 +259,11 @@ func TestResultPerIter(t *testing.T) {
 		t.Error("zero iterations should give zero")
 	}
 }
+
+// Total returns the components' sum.
+func (e EnergyComponents) Total() float64 {
+	return e.Kinetic + e.NuclearAttraction + e.TwoElectron + e.NuclearRepulsion
+}
+
+// Pairs returns the number of unique pairs.
+func (p *PairList) Pairs() int { return len(p.Q) }

@@ -50,9 +50,6 @@ func BuildPairs(m *Molecule, threads int) *PairList {
 	return p
 }
 
-// Pairs returns the number of unique pairs.
-func (p *PairList) Pairs() int { return len(p.Q) }
-
 // CountNonScreened returns the number of unique ERI quartets that survive
 // Schwarz screening at the given tolerance: unordered pairs (p1 <= p2) of
 // unique function pairs with q_p1 * q_p2 >= tol. This is the Table V

@@ -3,10 +3,7 @@ package iofault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-
-	"repro/internal/rng"
 )
 
 // Op names one class of filesystem operation the injector can target.
@@ -22,7 +19,7 @@ const (
 	OpCreate
 	OpRename
 	OpRemove
-	OpRead // ReadFile and Open
+	OpRead // ReadFile
 	opCount
 )
 
@@ -133,39 +130,6 @@ func NewFaulty(inner FS, faults ...Fault) *Faulty {
 	return f
 }
 
-// Random derives a deterministic fault schedule from a seed: n faults
-// spread over the first span operations, biased toward writes and
-// syncs (the operations durability bugs hide behind). Equal seeds give
-// equal schedules on every platform.
-func Random(seed uint64, n, span int) []Fault {
-	r := rng.New(seed)
-	ops := []Op{OpWrite, OpWrite, OpWrite, OpSync, OpSync, OpCreate, OpRename, OpRead}
-	kinds := []Kind{KindErr, KindNoSpace, KindCrash}
-	faults := make([]Fault, 0, n)
-	for i := 0; i < n; i++ {
-		faults = append(faults, Fault{
-			Op:   ops[r.Intn(len(ops))],
-			N:    r.Intn(span),
-			Kind: kinds[r.Intn(len(kinds))],
-			Arg:  r.Intn(16),
-		})
-	}
-	sort.Slice(faults, func(i, j int) bool {
-		if faults[i].Op != faults[j].Op {
-			return faults[i].Op < faults[j].Op
-		}
-		return faults[i].N < faults[j].N
-	})
-	return faults
-}
-
-// Crashed reports whether an armed crash point has fired.
-func (f *Faulty) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // Ops reports how many operations of class op have executed (including
 // the one a fault failed). Crash-point sweeps use it to size the sweep.
 func (f *Faulty) Ops(op Op) int {
@@ -246,18 +210,6 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	return &faultyFile{fs: f, inner: file}, nil
 }
 
-// Open opens path read-only through the injector.
-func (f *Faulty) Open(path string) (File, error) {
-	if _, err := f.step(OpRead); err != nil {
-		return nil, err
-	}
-	file, err := f.inner.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{fs: f, inner: file}, nil
-}
-
 // ReadFile reads path through the injector.
 func (f *Faulty) ReadFile(path string) ([]byte, error) {
 	if _, err := f.step(OpRead); err != nil {
@@ -319,9 +271,6 @@ type faultyFile struct {
 	fs    *Faulty
 	inner File
 }
-
-// Read passes through to the wrapped handle.
-func (ff *faultyFile) Read(p []byte) (int, error) { return ff.inner.Read(p) }
 
 // Write counts one OpWrite. An injected short write (KindNoSpace with
 // Arg < len(p)) or torn tail (KindCrash) lands Arg bytes in the

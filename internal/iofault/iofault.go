@@ -9,9 +9,8 @@
 // `go test` instead of hoped for in production.
 //
 // The package is deliberately wall-clock-free and seed-deterministic:
-// a fault schedule is either written out explicitly (crash at the Nth
-// write) or derived from a seed via the repository's xoshiro generator,
-// so a failing crash-point sweep reproduces from its seed alone.
+// a fault schedule is written out explicitly (crash at the Nth write),
+// so a failing crash-point sweep reproduces from its schedule alone.
 package iofault
 
 import (
@@ -23,10 +22,10 @@ import (
 )
 
 // File is the subset of *os.File the journal and the memo disk tier
-// need. Write and Sync follow the crash model: bytes written are
-// volatile until Sync returns nil.
+// need: a handle for writing (both read whole files through
+// FS.ReadFile). Write and Sync follow the crash model: bytes written
+// are volatile until Sync returns nil.
 type File interface {
-	io.Reader
 	io.Writer
 	// Sync flushes the file's written bytes to stable storage; only
 	// synced bytes survive a Crash in the in-memory model.
@@ -48,8 +47,6 @@ type FS interface {
 	// CreateTemp creates a new unique file in dir; pattern's final "*"
 	// is replaced by a unique suffix, exactly like os.CreateTemp.
 	CreateTemp(dir, pattern string) (File, error)
-	// Open opens path read-only.
-	Open(path string) (File, error)
 	// ReadFile reads the whole content of path.
 	ReadFile(path string) ([]byte, error)
 	// Rename atomically moves oldpath to newpath, replacing newpath.
@@ -77,9 +74,6 @@ func (OS) Create(path string) (File, error) { return os.Create(path) }
 
 // CreateTemp creates a new unique file in dir.
 func (OS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-
-// Open opens path read-only.
-func (OS) Open(path string) (File, error) { return os.Open(path) }
 
 // ReadFile reads the whole content of path.
 func (OS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }

@@ -2,7 +2,6 @@ package iofault
 
 import (
 	"errors"
-	"io"
 	"io/fs"
 	"testing"
 )
@@ -82,21 +81,21 @@ func TestMemRenameRemoveReadDir(t *testing.T) {
 	if _, err := m.Stat("dir/y"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Stat after remove: %v", err)
 	}
-	// Read-only handles read a snapshot.
+	// ReadFile reads a snapshot: written bytes show before any Sync,
+	// and a later write leaves an earlier read untouched.
 	h, _ := m.Create("dir/z")
 	if _, err := h.Write([]byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Open("dir/z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
+	got, err := m.ReadFile("dir/z")
 	if err != nil || string(got) != "abc" {
 		t.Fatalf("snapshot read: %q, %v", got, err)
 	}
-	if err := r.Close(); err != nil {
+	if _, err := h.Write([]byte("d")); err != nil {
 		t.Fatal(err)
+	}
+	if string(got) != "abc" {
+		t.Fatalf("snapshot changed after a later write: %q", got)
 	}
 }
 
@@ -195,31 +194,6 @@ func TestFaultySyncError(t *testing.T) {
 	}
 }
 
-// TestRandomSchedulesDeterministic pins that equal seeds derive equal
-// schedules and different seeds (overwhelmingly) differ.
-func TestRandomSchedulesDeterministic(t *testing.T) {
-	a := Random(42, 8, 100)
-	b := Random(42, 8, 100)
-	if len(a) != 8 || len(b) != 8 {
-		t.Fatalf("schedule lengths: %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seed 42 schedules diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	c := Random(43, 8, 100)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("seeds 42 and 43 produced identical schedules")
-	}
-}
-
 // TestOSRoundTrip drives the real-OS implementation through a temp dir:
 // the seam has to behave identically over both backends.
 func TestOSRoundTrip(t *testing.T) {
@@ -273,4 +247,11 @@ func TestOSRoundTrip(t *testing.T) {
 	if _, err := osfs.Stat(dir + "/sub/renamed"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Stat after remove: %v", err)
 	}
+}
+
+// Crashed reports whether an armed crash point has fired.
+func (f *Faulty) Crashed() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.crashed
 }

@@ -1,7 +1,6 @@
 package iofault
 
 import (
-	"bytes"
 	"fmt"
 	"io/fs"
 	"path/filepath"
@@ -108,19 +107,6 @@ func (m *Mem) CreateTemp(dir, pattern string) (File, error) {
 	return &memHandle{fs: m, name: path, f: f}, nil
 }
 
-// Open opens path read-only. The handle reads a snapshot of the content
-// at open time.
-func (m *Mem) Open(path string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	path = clean(path)
-	f, ok := m.files[path]
-	if !ok {
-		return nil, notExist(path)
-	}
-	return &memHandle{fs: m, name: path, f: f, rd: bytes.NewReader(append([]byte(nil), f.data...)), readOnly: true}, nil
-}
-
 // ReadFile reads the whole content of path.
 func (m *Mem) ReadFile(path string) ([]byte, error) {
 	m.mu.Lock()
@@ -190,27 +176,17 @@ func (m *Mem) SyncDir(dir string) error { return nil }
 
 // memHandle is an open file on a Mem.
 type memHandle struct {
-	fs       *Mem
-	name     string
-	f        *memFile
-	rd       *bytes.Reader
-	readOnly bool
-	closed   bool
-}
-
-// Read reads from the open-time snapshot (read-only handles only).
-func (h *memHandle) Read(p []byte) (int, error) {
-	if h.rd == nil {
-		return 0, &fs.PathError{Op: "read", Path: h.name, Err: fs.ErrInvalid}
-	}
-	return h.rd.Read(p)
+	fs     *Mem
+	name   string
+	f      *memFile
+	closed bool
 }
 
 // Write appends to the file's volatile content.
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	if h.closed || h.readOnly {
+	if h.closed {
 		return 0, &fs.PathError{Op: "write", Path: h.name, Err: fs.ErrInvalid}
 	}
 	h.f.data = append(h.f.data, p...)

@@ -44,9 +44,9 @@ func (s Stats) InputBytes() units.Bytes {
 type Emit func(i, j int32, similarity float64)
 
 // EmitWorker is Emit with the worker index (0-based, below
-// parallel.Workers(threads)) of the calling worker. Collectors such as
-// ShardedTopK use it to keep contention-free per-worker state; calls
-// with the same worker index never overlap.
+// parallel.Workers(threads)) of the calling worker. A collector may use
+// it to keep contention-free per-worker state; calls with the same
+// worker index never overlap.
 type EmitWorker func(worker int, i, j int32, similarity float64)
 
 // AllPairs computes the Jaccard similarity of every pair of vertices with
@@ -137,30 +137,4 @@ func AllPairsWorker(g *graph.CSR, threads int, emit EmitWorker) Stats {
 		OutputBytes: units.Bytes(pairs) * PairBytes,
 		Elapsed:     time.Since(start),
 	}
-}
-
-// Exact computes J(i,j) for one pair by sorted-list intersection — the
-// oracle the tests validate AllPairs against.
-func Exact(g *graph.CSR, i, j int) float64 {
-	a, _ := g.Row(i)
-	b, _ := g.Row(j)
-	var inter int
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
-		switch {
-		case a[x] < b[y]:
-			x++
-		case a[x] > b[y]:
-			y++
-		default:
-			inter++
-			x++
-			y++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -115,35 +114,11 @@ func BenchmarkTopKEmitMutex(b *testing.B) {
 	}
 }
 
-func BenchmarkTopKEmitSharded(b *testing.B) {
-	ps := benchPairs(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk := NewShardedTopK(100, 4)
-		for k, p := range ps {
-			tk.Emit(k&3, p.I, p.J, p.Similarity)
-		}
-		if len(tk.Pairs()) != 100 {
-			b.Fatal("bad merge")
-		}
-	}
-}
-
 func BenchmarkAllPairsTopKMutex(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk := NewTopK(100)
 		AllPairs(g, 4, tk.Emit)
-	}
-}
-
-func BenchmarkAllPairsTopKSharded(b *testing.B) {
-	g := benchGraph()
-	workers := parallel.Workers(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk := NewShardedTopK(100, workers)
-		AllPairsWorker(g, 4, tk.Emit)
 	}
 }

@@ -155,3 +155,29 @@ func TestExactDisjoint(t *testing.T) {
 		t.Error("adjacent path vertices should have zero similarity")
 	}
 }
+
+// Exact computes J(i,j) for one pair by sorted-list intersection — the
+// oracle the tests validate AllPairs against.
+func Exact(g *graph.CSR, i, j int) float64 {
+	a, _ := g.Row(i)
+	b, _ := g.Row(j)
+	var inter int
+	x, y := 0, 0
+	for x < len(a) && y < len(b) {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			inter++
+			x++
+			y++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}

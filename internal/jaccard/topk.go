@@ -63,66 +63,6 @@ func (t *TopK) Pairs() []Pair {
 	return out
 }
 
-// ShardedTopK collects the K most similar pairs without any locking:
-// each worker pushes into its own heap (AllPairsWorker guarantees calls
-// with one worker index never overlap) and Pairs merges the shards once
-// at the end. It is the contention-free counterpart of TopK, whose
-// global mutex serializes every emit; tests keep TopK as the oracle.
-type ShardedTopK struct {
-	k      int
-	shards []pairHeap
-}
-
-// NewShardedTopK returns a lock-free collector for the k best pairs
-// across `workers` emit shards (both must be positive; size workers with
-// parallel.Workers(threads) to match the AllPairsWorker run).
-func NewShardedTopK(k, workers int) *ShardedTopK {
-	if k <= 0 {
-		panic("jaccard: k must be positive")
-	}
-	if workers <= 0 {
-		panic("jaccard: workers must be positive")
-	}
-	return &ShardedTopK{k: k, shards: make([]pairHeap, workers)}
-}
-
-// Emit implements the AllPairsWorker callback. It touches only the
-// calling worker's shard, so no synchronization is needed.
-func (t *ShardedTopK) Emit(w int, i, j int32, sim float64) {
-	h := &t.shards[w]
-	if len(*h) < t.k {
-		heap.Push(h, Pair{i, j, sim})
-		return
-	}
-	if sim > (*h)[0].Similarity {
-		(*h)[0] = Pair{i, j, sim}
-		heap.Fix(h, 0)
-	}
-}
-
-// Pairs merges the shards and returns the k best pairs, most similar
-// first (ties broken by vertex ids for determinism). Call only after
-// the AllPairsWorker run has returned.
-func (t *ShardedTopK) Pairs() []Pair {
-	var out []Pair
-	for _, h := range t.shards {
-		out = append(out, h...)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Similarity != out[b].Similarity {
-			return out[a].Similarity > out[b].Similarity
-		}
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
-	if len(out) > t.k {
-		out = out[:t.k]
-	}
-	return out
-}
-
 // pairHeap is a min-heap on similarity, so the root is the weakest of
 // the current top K.
 type pairHeap []Pair

@@ -271,3 +271,35 @@ func TestKernelPanics(t *testing.T) {
 		}()
 	}
 }
+
+// DFTReference is the O(n^2) direct transform the tests validate FFT
+// against.
+func DFTReference(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			theta := sign * 2 * math.Pi * float64(k) * float64(t) / float64(n)
+			sum += x[t] * complex(math.Cos(theta), math.Sin(theta))
+		}
+		if inverse {
+			sum /= complex(float64(n), 0)
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// At returns the value at (x, y, z).
+func (c *Cube) At(x, y, z int) complex128 { return c.Data[(z*c.N+y)*c.N+x] }
+
+// Set assigns the value at (x, y, z).
+func (c *Cube) Set(x, y, z int, v complex128) { c.Data[(z*c.N+y)*c.N+x] = v }
+
+// At returns the value at (x, y, z).
+func (g *Grid3D) At(x, y, z int) float64 { return g.Data[(z*g.NY+y)*g.NX+x] }

@@ -30,9 +30,6 @@ func NewGrid3D(nx, ny, nz int) *Grid3D {
 	return &Grid3D{NX: nx, NY: ny, NZ: nz, Data: make([]float64, nx*ny*nz)}
 }
 
-// At returns the value at (x, y, z).
-func (g *Grid3D) At(x, y, z int) float64 { return g.Data[(z*g.NY+y)*g.NX+x] }
-
 // Set assigns the value at (x, y, z).
 func (g *Grid3D) Set(x, y, z int, v float64) { g.Data[(z*g.NY+y)*g.NX+x] = v }
 

@@ -10,7 +10,7 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/stream"
+	"repro/internal/parallel"
 )
 
 // Matrix is a dense square matrix in row-major order.
@@ -97,7 +97,7 @@ func MatMul(c, a, b *Matrix) {
 	if b.N != n || c.N != n {
 		panic("linalg: dimension mismatch")
 	}
-	workers := stream.Parallelism(0)
+	workers := parallel.Workers(0)
 	var wg sync.WaitGroup
 	rows := make(chan int)
 	for w := 0; w < workers; w++ {

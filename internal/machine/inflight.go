@@ -137,6 +137,3 @@ func (t *inflightTable) grow() {
 		}
 	}
 }
-
-// len returns the number of live entries.
-func (t *inflightTable) len() int { return t.count }

@@ -85,3 +85,6 @@ func TestInflightTableDeleteAbsent(t *testing.T) {
 		t.Fatalf("deleting an absent key disturbed a live entry: (%v, %v)", v, ok)
 	}
 }
+
+// len returns the number of live entries.
+func (t *inflightTable) len() int { return t.count }

@@ -313,53 +313,5 @@ func (r WalkResult) ThreadBandwidth() units.Bandwidth {
 	return units.Bandwidth(float64(r.Accesses) * trace.LineSize / (r.TotalNs * 1e-9))
 }
 
-// WalkerStats is the per-source breakdown of a walker's accesses.
-type WalkerStats struct {
-	Accesses     uint64
-	PrefetchHits uint64 // satisfied by a completed hardware prefetch
-	Levels       map[cache.Level]uint64
-	ERATMisses   uint64
-	TLBMisses    uint64
-}
-
-// Stats returns the breakdown of everything this walker has simulated.
-func (w *Walker) Stats() WalkerStats {
-	levels := make(map[cache.Level]uint64, cache.NumLevels)
-	for l, n := range w.levelCounts {
-		if n > 0 {
-			levels[cache.Level(l)] = n
-		}
-	}
-	return WalkerStats{
-		Accesses:     w.accesses,
-		PrefetchHits: w.prefetchHits,
-		Levels:       levels,
-		ERATMisses:   w.eratMisses,
-		TLBMisses:    w.tlbMisses,
-	}
-}
-
-// DominantLevel returns the level that satisfied the most demand reads
-// (prefetch hits excluded); ok is false when nothing was simulated.
-func (s WalkerStats) DominantLevel() (cache.Level, bool) {
-	// Iterate levels in hierarchy order rather than ranging over the
-	// map: map order would break ties arbitrarily between runs, and the
-	// fixed order resolves them toward the closest level.
-	var best cache.Level
-	var n uint64
-	for l := 0; l < cache.NumLevels; l++ {
-		if c := s.Levels[cache.Level(l)]; c > n {
-			best, n = cache.Level(l), c
-		}
-	}
-	return best, n > 0
-}
-
 // Hierarchy exposes the walker's cache state for tests and diagnostics.
 func (w *Walker) Hierarchy() *cache.Hierarchy { return w.hier }
-
-// Prefetcher exposes the walker's prefetch engine.
-func (w *Walker) Prefetcher() *prefetch.Engine { return w.pf }
-
-// NowNs returns the walker's simulated clock.
-func (w *Walker) NowNs() float64 { return w.nowNs }

@@ -56,14 +56,6 @@ func (c *Cache) SetDirFS(dir string, fsys iofault.FS) error {
 	return nil
 }
 
-// Dir returns the on-disk store's directory ("" when memory-only).
-func (c *Cache) Dir() string {
-	if c.disk == nil {
-		return ""
-	}
-	return c.disk.dir
-}
-
 // Peek reports whether a result for key is already resident — in the
 // memory LRU, or (when the on-disk store is enabled) as a disk entry.
 // It is purely advisory: it promotes nothing, validates nothing,

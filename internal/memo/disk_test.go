@@ -354,3 +354,11 @@ func TestPeek(t *testing.T) {
 		t.Error("memory-only Peek sees another cache's disk")
 	}
 }
+
+// Dir returns the on-disk store's directory ("" when memory-only).
+func (c *Cache) Dir() string {
+	if c.disk == nil {
+		return ""
+	}
+	return c.disk.dir
+}

@@ -56,7 +56,6 @@ type Result struct {
 // Cache is a byte-budgeted LRU keyed by canonical fingerprints. Use
 // New; the zero value is not ready.
 type Cache struct {
-	name     string
 	maxBytes int64
 	scope    *obs.Registry // nil = uninstrumented (obs methods no-op on nil)
 	disk     *diskStore    // nil = memory only
@@ -96,7 +95,6 @@ func New(name string, maxBytes int64, reg *obs.Registry) *Cache {
 		scope = reg.Child("memo").Child(name)
 	}
 	return &Cache{
-		name:     name,
 		maxBytes: maxBytes,
 		scope:    scope,
 		entries:  map[canon.Fingerprint]*entry{},
@@ -104,21 +102,11 @@ func New(name string, maxBytes int64, reg *obs.Registry) *Cache {
 	}
 }
 
-// Name returns the cache's instrumentation name.
-func (c *Cache) Name() string { return c.name }
-
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Bytes returns the resident cost total.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // Do returns the cached value for key, or runs compute — once across

@@ -277,3 +277,10 @@ func TestCounters(t *testing.T) {
 		}
 	}
 }
+
+// Bytes returns the resident cost total.
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}

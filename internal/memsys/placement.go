@@ -61,25 +61,9 @@ type Placement struct {
 	Weights []int
 }
 
-// Local returns the default local policy for a requester.
-func Local(chip arch.ChipID) Placement {
-	return Placement{Kind: PlaceLocal, Chip: chip}
-}
-
-// OnChip pins memory to one chip.
-func OnChip(chip arch.ChipID) Placement {
-	return Placement{Kind: PlaceOnChip, Chip: chip}
-}
-
 // Interleaved spreads pages round-robin over chips.
 func Interleaved(chips int) Placement {
 	return Placement{Kind: PlaceInterleaved, Chips: chips}
-}
-
-// WeightedInterleaved spreads pages over chips proportionally to
-// weights (one entry per chip); at least one weight must be positive.
-func WeightedInterleaved(weights []int) Placement {
-	return Placement{Kind: PlaceWeighted, Chips: len(weights), Weights: weights}
 }
 
 // HomeFunc returns the address-to-home-chip mapping the machine walker

@@ -8,13 +8,13 @@ import (
 )
 
 func TestPlacementLocalAndPinned(t *testing.T) {
-	local := Local(3).HomeFunc()
+	local := Placement{Kind: PlaceLocal, Chip: 3}.HomeFunc()
 	for _, addr := range []uint64{0, 4096, 1 << 30} {
 		if local(addr) != 3 {
 			t.Fatalf("local placement moved address %d", addr)
 		}
 	}
-	pinned := OnChip(6).HomeFunc()
+	pinned := Placement{Kind: PlaceOnChip, Chip: 6}.HomeFunc()
 	if pinned(123456) != 6 {
 		t.Error("pinned placement wrong")
 	}

@@ -29,8 +29,6 @@
 //     min, max, 65 power-of-two buckets) recording int64 samples with
 //     zero allocation; snapshots report mean and interpolated
 //     P50/P90/P99.
-//   - Timer: a Distribution of elapsed nanoseconds with a
-//     Start/Stop stopwatch.
 //
 // Registries are hierarchical: Child scopes nest ("figure4/des/events"),
 // and Snapshot walks the tree in deterministic sorted order, so two
@@ -42,7 +40,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count. The zero value is
@@ -116,7 +113,7 @@ const distBuckets = 65
 
 // Distribution is a log2-bucketed sketch of int64 samples: count, sum,
 // min, max and a fixed histogram, all updated atomically and without
-// allocation. It is the backing store for Timers and for derived
+// allocation. It records latencies in nanoseconds and derived
 // per-dispatch statistics such as the Team's imbalance ratio. A nil
 // *Distribution ignores all updates. Construct with NewDistribution (or
 // through a Registry): min/max start at their sentinels, so concurrent
@@ -166,44 +163,6 @@ func bucketOf(v int64) int {
 		return 0
 	}
 	return bits.Len64(uint64(v))
-}
-
-// Count returns the number of samples observed (0 on a nil
-// Distribution).
-func (d *Distribution) Count() uint64 {
-	if d == nil {
-		return 0
-	}
-	return d.count.Load()
-}
-
-// Timer records elapsed wall time into a Distribution of nanoseconds.
-// A nil *Timer hands out no-op stopwatches.
-type Timer struct {
-	d *Distribution
-}
-
-// Stopwatch is one in-progress Timer measurement. It is a value type:
-// starting and stopping a stopwatch allocates nothing.
-type Stopwatch struct {
-	d  *Distribution
-	t0 time.Time
-}
-
-// Start begins a measurement.
-func (t *Timer) Start() Stopwatch {
-	if t == nil {
-		return Stopwatch{}
-	}
-	return Stopwatch{d: t.d, t0: time.Now()}
-}
-
-// Stop records the elapsed time since Start. Stopping a zero Stopwatch
-// is a no-op.
-func (sw Stopwatch) Stop() {
-	if sw.d != nil {
-		sw.d.Observe(time.Since(sw.t0).Nanoseconds())
-	}
 }
 
 // Registry is a named scope of metrics and child scopes. Metric lookup
@@ -309,13 +268,4 @@ func (r *Registry) Distribution(name string) *Distribution {
 		r.dists[name] = d
 	}
 	return d
-}
-
-// Timer returns a timer over the named distribution (unit:
-// nanoseconds). On a nil Registry it returns nil.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	return &Timer{d: r.Distribution(name)}
 }

@@ -207,28 +207,6 @@ func (s Snapshot) counterInto(prefix string, out map[string]uint64) {
 	}
 }
 
-// Find returns the child snapshot with the given name; ok is false when
-// absent.
-func (s Snapshot) Find(name string) (Snapshot, bool) {
-	for _, c := range s.Children {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Snapshot{}, false
-}
-
-// CounterValue returns the named counter's value in this scope (not
-// descending into children); ok is false when absent.
-func (s Snapshot) CounterValue(name string) (uint64, bool) {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value, true
-		}
-	}
-	return 0, false
-}
-
 // String renders the snapshot compactly for debugging.
 func (s Snapshot) String() string {
 	return fmt.Sprintf("obs.Snapshot(%s: %d counters, %d gauges, %d dists, %d children)",

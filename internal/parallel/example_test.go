@@ -16,7 +16,7 @@ func ExampleNewTeam() {
 
 	var sum atomic.Int64
 	for iter := 0; iter < 3; iter++ {
-		team.ParallelFor(1000, 0, func(lo, hi int) {
+		team.ParallelForWorker(1000, 0, func(_, lo, hi int) {
 			var local int64
 			for i := lo; i < hi; i++ {
 				local += int64(i)
@@ -28,22 +28,22 @@ func ExampleNewTeam() {
 	// Output: 1498500
 }
 
-// ExampleTeam_ParallelFor contrasts the two schedules: dynamic chunking
-// rebalances skewed work, the static pre-split keeps per-worker partial
-// reductions in a deterministic merge order.
-func ExampleTeam_ParallelFor() {
+// ExampleTeam_ParallelForWorker contrasts the two schedules: dynamic
+// chunking rebalances skewed work, the static pre-split keeps per-worker
+// partial reductions in a deterministic merge order.
+func ExampleTeam_ParallelForWorker() {
 	team := parallel.NewTeam(2)
 	defer team.Close()
 
 	// Dynamic: workers pull chunks of 16 indices from a shared cursor.
 	var touched atomic.Int64
-	team.ParallelFor(100, 16, func(lo, hi int) {
+	team.ParallelForWorker(100, 16, func(_, lo, hi int) {
 		touched.Add(int64(hi - lo))
 	})
 
 	// Static: worker w always owns the same contiguous range, so the
 	// partials slice is filled identically run to run.
-	partials := make([]int64, team.Workers())
+	partials := make([]int64, 2)
 	team.StaticFor(100, func(worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			partials[worker] += int64(i)

@@ -23,11 +23,14 @@ func distOf(t *testing.T, reg *obs.Registry, path ...string) obs.DistSummary {
 	t.Helper()
 	s := reg.Snapshot()
 	for _, p := range path[:len(path)-1] {
-		var ok bool
-		s, ok = s.Find(p)
-		if !ok {
+		i := 0
+		for i < len(s.Children) && s.Children[i].Name != p {
+			i++
+		}
+		if i == len(s.Children) {
 			t.Fatalf("scope %q not found", p)
 		}
+		s = s.Children[i]
 	}
 	for _, d := range s.Distributions {
 		if d.Name == path[len(path)-1] {

@@ -168,9 +168,6 @@ func NewTeam(workers int) *Team {
 	return t
 }
 
-// Workers returns the team size.
-func (t *Team) Workers() int { return t.workers }
-
 // Close terminates the worker goroutines. The team must be idle; using
 // it afterwards panics. Close must not race with a running loop.
 func (t *Team) Close() {
@@ -239,17 +236,12 @@ func (j *teamJob) noteChunk(w, items int) {
 	j.items[w] += uint64(items)
 }
 
-// ParallelFor runs body over [0, n) with dynamic chunking: workers pull
-// `grain`-sized index ranges until the range is exhausted. grain <= 0
-// selects an automatic grain (~8 chunks per worker). Chunks are
+// ParallelForWorker runs body over [0, n) with dynamic chunking: workers
+// pull `grain`-sized index ranges until the range is exhausted. grain <=
+// 0 selects an automatic grain (~8 chunks per worker). Chunks are
 // processed in ascending order when the team has one worker, so the
-// sequential case is deterministic.
-func (t *Team) ParallelFor(n, grain int, body func(lo, hi int)) {
-	t.ParallelForWorker(n, grain, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ParallelForWorker is ParallelFor with the worker index (0-based,
-// < Workers()) passed to the body, so callers can keep contention-free
+// sequential case is deterministic. The body receives the worker index
+// (0-based, below the team size), so callers can keep contention-free
 // per-worker accumulators. Chunk-to-worker assignment is first-come,
 // so the partition of work across accumulators is not deterministic —
 // use StaticFor where merged reduction order must be reproducible.

@@ -302,3 +302,9 @@ func TestAutoGrainBounds(t *testing.T) {
 	}
 	SetGrainFactor(0)
 }
+
+// ParallelFor is ParallelForWorker without the worker index, the shape
+// most of these tests and benchmarks drive.
+func (t *Team) ParallelFor(n, grain int, body func(lo, hi int)) {
+	t.ParallelForWorker(n, grain, func(_, lo, hi int) { body(lo, hi) })
+}

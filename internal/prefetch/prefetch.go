@@ -274,9 +274,3 @@ func (e *Engine) insert(s stream) {
 	}
 	e.streams[victim] = s
 }
-
-// Reset drops all stream state and statistics.
-func (e *Engine) Reset() {
-	e.streams = e.streams[:0]
-	e.clock, e.issued, e.detected = 0, 0, 0
-}

@@ -204,18 +204,6 @@ func TestConcurrentStreams(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	e := New(DefaultConfig())
-	drive(e, 0, 10)
-	e.Reset()
-	if e.Issued() != 0 || e.Detected() != 0 {
-		t.Error("Reset did not clear stats")
-	}
-	if got := drive(e, 100, 2); len(got) != 0 {
-		t.Error("stream state survived Reset")
-	}
-}
-
 func TestIssuedCounter(t *testing.T) {
 	e := New(DefaultConfig())
 	drive(e, 0, 20)

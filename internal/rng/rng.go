@@ -94,19 +94,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n) via Fisher-Yates.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using swap, as in math/rand.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -107,24 +107,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		r := New(seed)
-		p := r.Perm(int(n))
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= int(n) || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == int(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestShuffleUniformish(t *testing.T) {
 	// Each position should receive each value with roughly equal
 	// frequency over many shuffles.

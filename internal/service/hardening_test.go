@@ -246,3 +246,10 @@ func TestDrainWithStuckClient(t *testing.T) {
 		t.Errorf("Serve returned %v, want ErrServerClosed", err)
 	}
 }
+
+// Draining reports whether Shutdown has begun.
+func (s *Service) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}

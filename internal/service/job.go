@@ -303,14 +303,6 @@ func (j *Job) wake() {
 	j.changed = make(chan struct{})
 }
 
-// watch returns the job's current state and a channel that closes on
-// the next change; poll loops select on it alongside their deadline.
-func (j *Job) watch() (State, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.changed
-}
-
 // cacheTally counts warm and cold reports among those completed so
 // far; callers hold mu.
 func (j *Job) cacheTally() (hits, misses int) {

@@ -151,13 +151,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // submitErr is an admission failure with its HTTP status.
 type submitErr struct {
 	code int

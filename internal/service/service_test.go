@@ -481,3 +481,11 @@ func TestStatsBypassesCache(t *testing.T) {
 		t.Errorf("stats job reported %d cache hits, want 0 (bypass)", observed.CacheHits)
 	}
 }
+
+// watch returns the job's current state and a channel that closes on
+// the next change; poll loops select on it alongside their deadline.
+func (j *Job) watch() (State, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.changed
+}

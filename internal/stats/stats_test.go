@@ -6,64 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMean(t *testing.T) {
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v", got)
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean with 0 did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{5}); got != 0 {
-		t.Errorf("StdDev single = %v", got)
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	want := 2.13808993529939 // sample stddev
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", got, want)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if Min(xs) != -1 || Max(xs) != 5 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
 func TestCurveInterpolation(t *testing.T) {
 	c := NewCurve([]float64{0, 1, 2}, []float64{10, 20, 40})
 	cases := []struct{ x, want float64 }{

@@ -94,11 +94,6 @@ func (t *TLB) Translate(addr uint64) Outcome {
 	return out
 }
 
-// Counts returns per-outcome totals since construction or Flush.
-func (t *TLB) Counts() (eratHit, eratMiss, tlbMiss uint64) {
-	return t.counts[ERATHit], t.counts[ERATMiss], t.counts[TLBMiss]
-}
-
 // Flush empties both levels and clears counters.
 func (t *TLB) Flush() {
 	t.erat.Flush()

@@ -133,3 +133,8 @@ func TestBadERATEntriesPanics(t *testing.T) {
 	}()
 	New(arch.TranslationSpec{ERATEntries: 50, ERATGranule: 65536, TLBEntries: 2048}, arch.Page64K)
 }
+
+// Counts returns per-outcome totals since construction or Flush.
+func (t *TLB) Counts() (eratHit, eratMiss, tlbMiss uint64) {
+	return t.counts[ERATHit], t.counts[ERATMiss], t.counts[TLBMiss]
+}

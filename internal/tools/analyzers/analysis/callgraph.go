@@ -187,7 +187,7 @@ func (g *CallGraph) resolve(node *FuncNode, call *ast.CallExpr) {
 				recv := f.Type().(*types.Signature).Recv()
 				if recv != nil && types.IsInterface(recv.Type()) {
 					site.Interface = f
-					g.expandInterface(site, f)
+					site.Callees = g.Implementations(f)
 				} else {
 					g.static(site, f)
 				}
@@ -246,15 +246,16 @@ func (g *CallGraph) static(site *CallSite, f *types.Func) {
 	site.ExternName = f.Name()
 }
 
-// expandInterface adds every in-program method that could satisfy the
-// interface dispatch: for each named type whose method set (value or
-// pointer) implements the receiver interface, the concrete method of
-// the dispatched name.
-func (g *CallGraph) expandInterface(site *CallSite, f *types.Func) {
+// Implementations returns every in-program method that a dispatch of
+// the interface method f may run, sorted by position: for each named
+// type whose method set (value or pointer) implements f's receiver
+// interface, the concrete method of f's name.
+func (g *CallGraph) Implementations(f *types.Func) []*FuncNode {
 	iface, ok := f.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 	if !ok {
-		return
+		return nil
 	}
+	var out []*FuncNode
 	seen := map[*types.Func]bool{}
 	for _, named := range g.named {
 		var recv types.Type = named
@@ -272,14 +273,15 @@ func (g *CallGraph) expandInterface(site *CallSite, f *types.Func) {
 		m = m.Origin()
 		if node := g.Nodes[m]; node != nil && !seen[m] {
 			seen[m] = true
-			site.Callees = append(site.Callees, node)
+			out = append(out, node)
 		}
 	}
-	sort.Slice(site.Callees, func(i, j int) bool {
-		a, b := g.prog.Fset.Position(site.Callees[i].Decl.Pos()), g.prog.Fset.Position(site.Callees[j].Decl.Pos())
+	sort.Slice(out, func(i, j int) bool {
+		a, b := g.prog.Fset.Position(out[i].Decl.Pos()), g.prog.Fset.Position(out[j].Decl.Pos())
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		return a.Offset < b.Offset
 	})
+	return out
 }

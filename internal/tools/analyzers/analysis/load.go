@@ -24,6 +24,49 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader                    *Loader
+	testGoFiles, xtestGoFiles []string
+}
+
+// A TestPackage is one type-checked group of a package's _test.go
+// files: the in-package tests (checked together with the package's
+// own files, as go test compiles them) or the external package_test
+// files. Files holds only the _test.go files; Info covers them.
+type TestPackage struct {
+	Files []*ast.File
+	Info  *types.Info
+}
+
+// Tests parses and type-checks the package's _test.go files, returning
+// the in-package group first and the external group second (each only
+// when present). An external test package imports the package itself
+// without its in-package test files, so identifiers exported only by
+// an export_test.go file do not resolve.
+func (p *Package) Tests() ([]*TestPackage, error) {
+	var out []*TestPackage
+	for _, group := range []struct {
+		path  string
+		names []string
+		base  []*ast.File
+	}{
+		{p.Path, p.testGoFiles, p.Files},
+		{p.Path + "_test", p.xtestGoFiles, nil},
+	} {
+		if len(group.names) == 0 {
+			continue
+		}
+		tests, err := p.loader.parse(p.Dir, group.names)
+		if err != nil {
+			return nil, err
+		}
+		info, _, err := p.loader.check(group.path, append(tests, group.base...))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, &TestPackage{Files: tests, Info: info})
+	}
+	return out, nil
 }
 
 // A Loader resolves, parses and type-checks packages from three roots,
@@ -235,15 +278,38 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", path, err)
 	}
+	files, err := l.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	info, tpkg, err := l.check(path, files)
+	if err != nil {
+		return nil, err
+	}
+	pkg := &Package{
+		Path: path, Dir: dir, Files: files, Types: tpkg, Info: info,
+		loader: l, testGoFiles: bp.TestGoFiles, xtestGoFiles: bp.XTestGoFiles,
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// parse parses the named files of dir, comments included.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, name := range bp.GoFiles {
+	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
 
+// check type-checks files as the package at path, resolving imports
+// through the loader. Any type error fails the check.
+func (l *Loader) check(path string, files []*ast.File) (*types.Info, *types.Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -259,11 +325,9 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	}
 	tpkg, _ := conf.Check(path, l.Fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("analysis: type errors in %s: %v", path, typeErrs[0])
+		return nil, nil, fmt.Errorf("analysis: type errors in %s: %v", path, typeErrs[0])
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
-	l.pkgs[path] = pkg
-	return pkg, nil
+	return info, tpkg, nil
 }
 
 // importFor satisfies go/types imports: in-tree packages load through

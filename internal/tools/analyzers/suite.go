@@ -4,9 +4,14 @@
 // and checks it wherever it reaches: determinism, frozenmachine and
 // hotpath check a function body and chase the same rules through the
 // whole-program call graph in one pass; the servicecheck family guards
-// the long-running service layer. cmd/p8lint runs the suite from the
-// command line and CI; the per-analyzer packages carry the rules and
-// their golden tests.
+// the long-running service layer; reach reports the functions no root
+// reaches (every main and init, the exported API of importable
+// packages, package-level initializers, standard-library interface
+// methods, and whatever another package's tests refer to). The full
+// list: determinism, frozenmachine, fsyncsafe, hotpath, isolation,
+// nilsafe, reach, teamuse, httpstatus, mutexheld and goleak.
+// cmd/p8lint runs the suite from the command line and CI; the
+// per-analyzer packages carry the rules and their golden tests.
 package analyzers
 
 import (
@@ -17,6 +22,7 @@ import (
 	"repro/internal/tools/analyzers/hotpath"
 	"repro/internal/tools/analyzers/isolation"
 	"repro/internal/tools/analyzers/nilsafe"
+	"repro/internal/tools/analyzers/reach"
 	"repro/internal/tools/analyzers/servicecheck"
 	"repro/internal/tools/analyzers/teamuse"
 )
@@ -31,6 +37,7 @@ func All() []*analysis.Analyzer {
 		hotpath.Analyzer,
 		isolation.Analyzer,
 		nilsafe.Analyzer,
+		reach.Analyzer,
 		teamuse.Analyzer,
 		servicecheck.HTTPStatus,
 		servicecheck.MutexHeld,

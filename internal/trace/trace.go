@@ -1,8 +1,7 @@
 // Package trace generates the synthetic memory-access patterns the
 // microbenchmarks in the paper are built from: sequential streams, strided
 // streams, random pointer chases (lmbench's dependent-load pattern),
-// randomly-ordered blocks scanned sequentially (the DCBT experiment), and
-// interleaved multi-stream traffic.
+// and randomly-ordered blocks scanned sequentially (the DCBT experiment).
 //
 // A generator yields physical line addresses; the consuming simulator is
 // responsible for translation and hierarchy behaviour. Addresses are plain
@@ -11,18 +10,15 @@ package trace
 
 import (
 	"repro/internal/rng"
-	"repro/internal/units"
 )
 
 // LineSize is the fixed 128-byte POWER8 cache line.
 const LineSize = 128
 
 // Generator yields a sequence of byte addresses. Next reports ok=false
-// when the sequence is exhausted; Reset restarts it from the beginning,
-// reproducing the identical sequence.
+// when the sequence is exhausted.
 type Generator interface {
 	Next() (addr uint64, ok bool)
-	Reset()
 }
 
 // Sequential walks n lines starting at base, one line at a time.
@@ -46,9 +42,6 @@ func (s *Sequential) Next() (uint64, bool) {
 	s.pos++
 	return addr, true
 }
-
-// Reset implements Generator.
-func (s *Sequential) Reset() { s.pos = 0 }
 
 // Strided accesses every stride-th line: n accesses at base, base +
 // stride*LineSize, ... This is the "stride-N stream" pattern of Figure 7.
@@ -76,9 +69,6 @@ func (s *Strided) Next() (uint64, bool) {
 	s.pos++
 	return addr, true
 }
-
-// Reset implements Generator.
-func (s *Strided) Reset() { s.pos = 0 }
 
 // Chase is a random pointer chase: a single cycle visiting every line of
 // the working set exactly once per lap, in a fixed random order (Sattolo's
@@ -122,11 +112,6 @@ func NewChase(base uint64, lines, laps int, seed uint64) *Chase {
 	return &Chase{base: base, order: order, laps: laps}
 }
 
-// WorkingSet returns the size of the chased region.
-func (c *Chase) WorkingSet() units.Bytes {
-	return units.Bytes(len(c.order)) * LineSize
-}
-
 // Next implements Generator.
 func (c *Chase) Next() (uint64, bool) {
 	if c.lap >= c.laps {
@@ -141,7 +126,7 @@ func (c *Chase) Next() (uint64, bool) {
 	return addr, true
 }
 
-// Reset implements Generator.
+// Reset rewinds the chase to the start of its first lap.
 func (c *Chase) Reset() { c.lap = 0; c.step = 0 }
 
 // BlockedRandom divides a region into blocks of blockLines lines, visits
@@ -185,58 +170,9 @@ func (b *BlockedRandom) Next() (uint64, bool) {
 	return addr, true
 }
 
-// Reset implements Generator.
-func (b *BlockedRandom) Reset() { b.blockIdx = 0; b.line = 0 }
-
 // BlockStart reports whether the next access begins a new block; the DCBT
 // microbenchmark issues its software-prefetch hint at block starts.
 func (b *BlockedRandom) BlockStart() bool { return b.line == 0 && b.blockIdx < len(b.order) }
-
-// Interleave round-robins between several generators, modelling
-// independent concurrent streams observed by a shared resource. A drained
-// generator drops out of the rotation.
-type Interleave struct {
-	gens []Generator
-	pos  int
-	live []bool
-	left int
-}
-
-// NewInterleave combines gens round-robin.
-func NewInterleave(gens ...Generator) *Interleave {
-	live := make([]bool, len(gens))
-	for i := range live {
-		live[i] = true
-	}
-	return &Interleave{gens: gens, live: live, left: len(gens)}
-}
-
-// Next implements Generator.
-func (iv *Interleave) Next() (uint64, bool) {
-	for iv.left > 0 {
-		i := iv.pos
-		iv.pos = (iv.pos + 1) % len(iv.gens)
-		if !iv.live[i] {
-			continue
-		}
-		if addr, ok := iv.gens[i].Next(); ok {
-			return addr, true
-		}
-		iv.live[i] = false
-		iv.left--
-	}
-	return 0, false
-}
-
-// Reset implements Generator.
-func (iv *Interleave) Reset() {
-	for i, g := range iv.gens {
-		g.Reset()
-		iv.live[i] = true
-	}
-	iv.left = len(iv.gens)
-	iv.pos = 0
-}
 
 // Collect drains up to max addresses from g (all of them if max <= 0).
 func Collect(g Generator, max int) []uint64 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/units"
 )
 
 func TestSequential(t *testing.T) {
@@ -22,10 +23,6 @@ func TestSequential(t *testing.T) {
 	}
 	if _, ok := g.Next(); ok {
 		t.Error("exhausted generator returned ok")
-	}
-	g.Reset()
-	if a, ok := g.Next(); !ok || a != 1024 {
-		t.Error("Reset did not restart")
 	}
 }
 
@@ -188,28 +185,6 @@ func TestBlockedRandomSequentialWithinBlock(t *testing.T) {
 	}
 }
 
-func TestInterleaveRoundRobin(t *testing.T) {
-	g := NewInterleave(
-		NewSequential(0, 2),
-		NewSequential(1<<20, 3),
-	)
-	got := Collect(g, 0)
-	want := []uint64{0, 1 << 20, LineSize, 1<<20 + LineSize, 1<<20 + 2*LineSize}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("got %v, want %v", got, want)
-			break
-		}
-	}
-	g.Reset()
-	if a, ok := g.Next(); !ok || a != 0 {
-		t.Error("Reset failed")
-	}
-}
-
 func TestCollectMax(t *testing.T) {
 	g := NewSequential(0, 100)
 	if got := Collect(g, 7); len(got) != 7 {
@@ -233,4 +208,9 @@ func TestConstructorPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// WorkingSet returns the size of the chased region.
+func (c *Chase) WorkingSet() units.Bytes {
+	return units.Bytes(len(c.order)) * LineSize
 }

@@ -47,9 +47,6 @@ func fmtScaled(v float64, suffix string) string {
 	return fmt.Sprintf("%.2f %s", v, suffix)
 }
 
-// GBs converts to decimal gigabytes.
-func (b Bytes) GBs() float64 { return float64(b) / 1e9 }
-
 // Bandwidth is a data rate in bytes per second.
 type Bandwidth float64
 
@@ -66,15 +63,6 @@ func (bw Bandwidth) String() string { return fmt.Sprintf("%.1f GB/s", bw.GBps())
 // sub-nanosecond cycle arithmetic at multi-GHz clocks.
 type Duration float64
 
-// Nanoseconds constructs a Duration.
-func Nanoseconds(v float64) Duration { return Duration(v) }
-
-// Ns reports the duration in nanoseconds.
-func (d Duration) Ns() float64 { return float64(d) }
-
-// Seconds reports the duration in seconds.
-func (d Duration) Seconds() float64 { return float64(d) * 1e-9 }
-
 // String formats a duration with an adaptive unit.
 func (d Duration) String() string {
 	switch {
@@ -89,17 +77,8 @@ func (d Duration) String() string {
 	}
 }
 
-// Flops is a floating-point operation count.
-type Flops float64
-
-// GFlops constructs a Flops count from giga-flops.
-func GFlops(v float64) Flops { return Flops(v * 1e9) }
-
 // Rate is a compute throughput in FLOP/s.
 type Rate float64
-
-// GFlopsPerSec constructs a Rate from GFLOP/s, the unit used in the paper.
-func GFlopsPerSec(v float64) Rate { return Rate(v * 1e9) }
 
 // BandwidthOf returns the memory bandwidth that gives a system with peak
 // compute r the stated machine balance (FLOPs per byte).
