@@ -42,10 +42,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/memsys"
+	"repro/internal/micro"
 	"repro/internal/obs"
 	"repro/internal/roofline"
 	"repro/internal/smt"
-	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 func main() {
@@ -97,8 +98,8 @@ func main() {
 		fail(fmt.Errorf("-fmas must be at least 1, got %d", *fmas))
 	case *doRoofline && *oi <= 0:
 		fail(fmt.Errorf("-oi must be positive, got %g", *oi))
-	case *doChase && *ws < 128:
-		fail(fmt.Errorf("-ws must cover at least one 128-byte line, got %d", *ws))
+	case *doChase && *ws < 256:
+		fail(fmt.Errorf("-ws must cover at least two 128-byte lines for the chase to cycle, got %d", *ws))
 	case *shards != 0 && !machine.ShardCountValid(spec, *shards):
 		fail(fmt.Errorf("-shards %d does not divide the %d-socket topology (use 0 for auto or a divisor of %d)",
 			*shards, spec.Topology.Chips, spec.Topology.Chips))
@@ -170,17 +171,13 @@ func main() {
 	}
 	if *doChase {
 		ran = true
-		lines := int(*ws / 128)
 		page := arch.Page64K
 		if *huge {
 			page = arch.Page16M
 		}
-		w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg})
-		chase := trace.NewChase(0, lines, 1, 42)
-		w.Run(chase, 0) // warm lap
-		chase.Reset()
-		res := w.Run(chase, 2_000_000)
-		fmt.Printf("chase over %d bytes (%v pages): %.2f ns/access\n", *ws, page, res.AvgNs())
+		// One Figure 2 point: a warm lap, then up to 2M measured accesses.
+		pt := micro.LatencyCurves(m, []arch.PageSize{page}, []units.Bytes{units.Bytes(*ws)}, 2_000_000, reg, nil)[0][0]
+		fmt.Printf("chase over %d bytes (%v pages): %.2f ns/access\n", *ws, page, pt.AvgNs)
 	}
 
 	if !ran {

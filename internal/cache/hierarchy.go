@@ -66,8 +66,6 @@ type Hierarchy struct {
 	// paper's "each L3 also serving requests for other cores" design is
 	// worth.
 	DisableVictim bool
-
-	counts [numLevels]uint64
 }
 
 // NewHierarchy builds the hierarchy for one core of chip, backed by the
@@ -115,7 +113,6 @@ func (h *Hierarchy) Read(addr uint64, l4Homed bool) Level {
 			h.castout(cast)
 		}
 	}
-	h.counts[level]++
 	return level
 }
 
@@ -163,12 +160,11 @@ func (h *Hierarchy) ContainsAny(addr uint64) bool {
 		h.L3Local.Contains(addr) || h.L3Victim.Contains(addr)
 }
 
-// Flush empties every level and clears statistics.
+// Flush empties every level.
 func (h *Hierarchy) Flush() {
 	h.L1.Flush()
 	h.L2.Flush()
 	h.L3Local.Flush()
 	h.L3Victim.Flush()
 	h.L4.Flush()
-	h.counts = [numLevels]uint64{}
 }

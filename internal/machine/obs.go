@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/obs"
 )
 
 // This file publishes the machine layer's counters into the obs
@@ -25,18 +26,24 @@ import (
 //	des/{events,scheduled,completions}, des/queue_depth_hwm,
 //	des/banks, des/chasers, des/bank_utilization_permille
 
-// walkerPublished records what a walker has already flushed, so repeated
-// PublishStats calls add exact deltas.
-type walkerPublished struct {
+// walkerCounts is one simulated thread's counter tally. A walker adds
+// to it on the access path and keeps a second copy of what it last
+// published, so repeated flushes add exact deltas.
+type walkerCounts struct {
 	accesses     uint64
 	prefetchHits uint64
 	eratMisses   uint64
 	tlbMisses    uint64
-	staleDrops   uint64
-	hints        uint64
-	levelCounts  [cache.NumLevels]uint64
-	pfIssued     uint64
-	pfDetected   uint64
+	// staleDrops counts prefetches that completed but went stale before
+	// their demand access arrived (the Figure 8 overrun effect); hints
+	// counts DCBT stream declarations.
+	staleDrops uint64
+	hints      uint64
+	// levelCounts is indexed by cache.Level — an array, not a map,
+	// because it is incremented on every access.
+	levelCounts [cache.NumLevels]uint64
+	pfIssued    uint64
+	pfDetected  uint64
 }
 
 // levelSlug names a cache level in counter paths.
@@ -66,13 +73,19 @@ func (w *Walker) PublishStats() {
 	if w.cfg.Obs == nil {
 		return
 	}
-	scope := w.cfg.Obs.Child("walker")
-	p := &w.published
+	w.n.pfIssued, w.n.pfDetected = w.pf.Issued(), w.pf.Detected()
+	publishWalker(w.cfg.Obs, w.cfg.Prefetch.DSCR, w.n, &w.published)
+}
 
-	scope.Counter("accesses").Add(w.accesses - p.accesses)
+// publishWalker adds cur minus *p to reg's "walker" scope and records
+// cur as published. dscr names the prefetch counters' scope.
+func publishWalker(reg *obs.Registry, dscr int, cur walkerCounts, p *walkerCounts) {
+	scope := reg.Child("walker")
+
+	scope.Counter("accesses").Add(cur.accesses - p.accesses)
 	xl := scope.Child("xlate")
-	xl.Counter("erat_miss").Add(w.eratMisses - p.eratMisses)
-	xl.Counter("tlb_miss").Add(w.tlbMisses - p.tlbMisses)
+	xl.Counter("erat_miss").Add(cur.eratMisses - p.eratMisses)
+	xl.Counter("tlb_miss").Add(cur.tlbMisses - p.tlbMisses)
 
 	// Per-level demand hit deltas, then the derived misses: a load
 	// satisfied at level k missed every level above it. The local and
@@ -81,10 +94,10 @@ func (w *Walker) PublishStats() {
 	var d [cache.NumLevels]uint64
 	hit := scope.Child("hit")
 	for l := 0; l < cache.NumLevels; l++ {
-		d[l] = w.levelCounts[l] - p.levelCounts[l]
+		d[l] = cur.levelCounts[l] - p.levelCounts[l]
 		hit.Counter(levelSlug(cache.Level(l))).Add(d[l])
 	}
-	hit.Counter("prefetch").Add(w.prefetchHits - p.prefetchHits)
+	hit.Counter("prefetch").Add(cur.prefetchHits - p.prefetchHits)
 	miss := scope.Child("miss")
 	dL3r, dL4, dDRAM := d[cache.LevelL3Remote], d[cache.LevelL4], d[cache.LevelDRAM]
 	miss.Counter("l1").Add(d[cache.LevelL2] + d[cache.LevelL3] + dL3r + dL4 + dDRAM)
@@ -92,20 +105,12 @@ func (w *Walker) PublishStats() {
 	miss.Counter("l3").Add(dL4 + dDRAM)
 	miss.Counter("l4").Add(dDRAM)
 
-	pf := scope.Child("prefetch").Child(fmt.Sprintf("dscr%d", w.cfg.Prefetch.DSCR))
-	pf.Counter("issued").Add(w.pf.Issued() - p.pfIssued)
-	pf.Counter("streams_detected").Add(w.pf.Detected() - p.pfDetected)
-	pf.Counter("confirmed").Add(w.prefetchHits - p.prefetchHits)
-	pf.Counter("stale_dropped").Add(w.staleDrops - p.staleDrops)
-	pf.Counter("hints").Add(w.hints - p.hints)
+	pf := scope.Child("prefetch").Child(fmt.Sprintf("dscr%d", dscr))
+	pf.Counter("issued").Add(cur.pfIssued - p.pfIssued)
+	pf.Counter("streams_detected").Add(cur.pfDetected - p.pfDetected)
+	pf.Counter("confirmed").Add(cur.prefetchHits - p.prefetchHits)
+	pf.Counter("stale_dropped").Add(cur.staleDrops - p.staleDrops)
+	pf.Counter("hints").Add(cur.hints - p.hints)
 
-	p.accesses = w.accesses
-	p.prefetchHits = w.prefetchHits
-	p.eratMisses = w.eratMisses
-	p.tlbMisses = w.tlbMisses
-	p.staleDrops = w.staleDrops
-	p.hints = w.hints
-	p.levelCounts = w.levelCounts
-	p.pfIssued = w.pf.Issued()
-	p.pfDetected = w.pf.Detected()
+	*p = cur
 }

@@ -56,28 +56,16 @@ type Walker struct {
 	m    *Machine
 	cfg  WalkerConfig
 	hier *cache.Hierarchy
-	xl   *tlb.TLB
+	xl   translator
 	pf   *prefetch.Engine
 
-	nowNs    float64
-	accesses uint64
-	totalNs  float64
+	nowNs   float64
+	totalNs float64
 
-	// Per-source accounting: how many accesses each cache level (or a
-	// completed prefetch) satisfied. Indexed by cache.Level — an array,
-	// not a map, because this is incremented on every access.
-	levelCounts  [cache.NumLevels]uint64
-	prefetchHits uint64
-	eratMisses   uint64
-	tlbMisses    uint64
-	// staleDrops counts prefetches that completed but went stale before
-	// their demand access arrived (the Figure 8 overrun effect); hints
-	// counts DCBT stream declarations. Both feed the obs registry.
-	staleDrops uint64
-	hints      uint64
-	// published remembers the counter values already flushed to cfg.Obs
-	// so PublishStats adds exact deltas however often it runs.
-	published walkerPublished
+	// n is the per-source accounting PublishStats flushes; published
+	// remembers what it already flushed to cfg.Obs, so it adds exact
+	// deltas however often it runs.
+	n, published walkerCounts
 
 	// inflight maps line address -> prefetch completion time. Sized to
 	// the prefetch engine's stream capacity x run-ahead depth.
@@ -86,10 +74,7 @@ type Walker struct {
 	// service interval, modelling the finite per-stream fill bandwidth.
 	lastDone float64
 
-	// Demand-stride tracking for the Centaur row-pipelining effect.
-	lastLine  int64
-	lastDelta int64
-	haveDelta bool
+	stride strideTracker
 
 	// pfbuf is the scratch buffer OnDemandInto appends prefetch addresses
 	// to, reused across accesses.
@@ -105,17 +90,72 @@ func (m *Machine) NewWalker(cfg WalkerConfig) *Walker {
 		cfg.Prefetch = prefetch.DefaultConfig()
 	}
 	w := &Walker{
-		m:    m,
-		cfg:  cfg,
-		hier: cache.NewHierarchy(m.Spec.Chip, m.Spec.Memory.Centaur, m.Spec.Memory.CentaursPerChip),
-		xl:   tlb.New(m.Spec.Xlate, cfg.Page),
-		pf:   prefetch.New(cfg.Prefetch),
+		m:      m,
+		cfg:    cfg,
+		hier:   m.newHierarchy(),
+		xl:     m.newTranslator(cfg.Page),
+		pf:     prefetch.New(cfg.Prefetch),
+		stride: newStrideTracker(),
 	}
 	w.hier.DisableVictim = cfg.DisableVictimL3
 	pc := w.pf.Config()
 	w.inflight = newInflightTable(pc.MaxStreams * prefetch.DepthLines(pc.DSCR))
-	w.lastLine = -1 << 62
 	return w
+}
+
+// newHierarchy builds the cache hierarchy one core of this machine sees.
+func (m *Machine) newHierarchy() *cache.Hierarchy {
+	return cache.NewHierarchy(m.Spec.Chip, m.Spec.Memory.Centaur, m.Spec.Memory.CentaursPerChip)
+}
+
+// translator is one thread's address translation: its TLB and the
+// latency each kind of miss costs at its page size.
+type translator struct {
+	xl                    *tlb.TLB
+	eratMissNs, tlbMissNs float64
+}
+
+func (m *Machine) newTranslator(page arch.PageSize) translator {
+	lat := m.Spec.Latency
+	t := translator{xl: tlb.New(m.Spec.Xlate, page), eratMissNs: lat.ERATMissNs, tlbMissNs: lat.TLBMissNs}
+	if units.Bytes(page) > m.Spec.Xlate.ERATGranule {
+		t.eratMissNs = lat.ERATMissHugeNs
+	}
+	return t
+}
+
+// ns translates addr, counting a miss into n, and returns what the
+// translation adds to the access's latency.
+func (t *translator) ns(addr uint64, n *walkerCounts) float64 {
+	switch t.xl.Translate(addr) {
+	case tlb.ERATMiss:
+		n.eratMisses++
+		return t.eratMissNs
+	case tlb.TLBMiss:
+		n.tlbMisses++
+		return t.tlbMissNs
+	}
+	return 0
+}
+
+// strideTracker detects constant-stride demand streams for the Centaur
+// row-pipelining effect.
+type strideTracker struct {
+	lastLine  int64
+	lastDelta int64
+	haveDelta bool
+}
+
+func newStrideTracker() strideTracker { return strideTracker{lastLine: -1 << 62} }
+
+// next records a demand access and reports whether it continues a
+// constant, non-zero line stride.
+func (s *strideTracker) next(addr uint64) bool {
+	curLine := int64(addr / trace.LineSize)
+	delta := curLine - s.lastLine
+	strided := s.haveDelta && delta == s.lastDelta && delta != 0
+	s.lastDelta, s.lastLine, s.haveDelta = delta, curLine, true
+	return strided
 }
 
 // home resolves the owning chip of an address.
@@ -126,20 +166,21 @@ func (w *Walker) home(addr uint64) arch.ChipID {
 	return w.cfg.Home(addr) //p8:allow hotpath: the address-homing policy is configuration — a pure arithmetic map fixed at construction; indirection here is the design
 }
 
-// dramLatency returns the DRAM demand latency for an access, accounting
-// for SMP hops and the strided row-pipelining effect.
-func (w *Walker) dramLatency(home arch.ChipID, strided bool) float64 {
-	lat := w.m.Spec.Latency
+// dramLatency returns the DRAM demand latency for an access from chip,
+// accounting for SMP hops and the strided row-pipelining effect.
+func (m *Machine) dramLatency(chip, home arch.ChipID, strided bool) float64 {
+	lat := m.Spec.Latency
 	base := lat.LocalDRAMNs
 	if strided {
 		base = lat.DRAMStridedNs
 	}
-	return base + w.m.Net.HopLatencyNs(w.cfg.Chip, home)
+	return base + m.Net.HopLatencyNs(chip, home)
 }
 
-// levelLatencyNs maps a hierarchy level to its load-to-use latency.
-func (w *Walker) levelLatencyNs(level cache.Level, home arch.ChipID, strided bool) float64 {
-	spec := w.m.Spec
+// levelLatencyNs maps a hierarchy level to its load-to-use latency for
+// a demand load from chip.
+func (m *Machine) levelLatencyNs(chip arch.ChipID, level cache.Level, home arch.ChipID, strided bool) float64 {
+	spec := m.Spec
 	cyc := spec.Chip.CycleNs()
 	switch level {
 	case cache.LevelL1:
@@ -153,7 +194,7 @@ func (w *Walker) levelLatencyNs(level cache.Level, home arch.ChipID, strided boo
 	case cache.LevelL4:
 		return spec.Latency.L4HitNs
 	default:
-		return w.dramLatency(home, strided)
+		return m.dramLatency(chip, home, strided)
 	}
 }
 
@@ -168,27 +209,11 @@ func (w *Walker) levelLatencyNs(level cache.Level, home arch.ChipID, strided boo
 //p8:hotpath
 func (w *Walker) Access(addr uint64) float64 {
 	w.cfg.Budget.Charge(1)
-	var latency float64
-	switch w.xl.Translate(addr) {
-	case tlb.ERATMiss:
-		w.eratMisses++
-		if units.Bytes(w.cfg.Page) > w.m.Spec.Xlate.ERATGranule {
-			latency += w.m.Spec.Latency.ERATMissHugeNs
-		} else {
-			latency += w.m.Spec.Latency.ERATMissNs
-		}
-	case tlb.TLBMiss:
-		w.tlbMisses++
-		latency += w.m.Spec.Latency.TLBMissNs
-	}
+	latency := w.xl.ns(addr, &w.n)
 
 	line := addr &^ uint64(trace.LineSize-1)
 	home := w.home(addr)
-
-	curLine := int64(addr / trace.LineSize)
-	delta := curLine - w.lastLine
-	strided := w.haveDelta && delta == w.lastDelta && delta != 0
-	w.lastDelta, w.lastLine, w.haveDelta = delta, curLine, true
+	strided := w.stride.next(addr)
 
 	if done, ok := w.inflight.get(line); ok && w.nowNs-done < staleInflightNs {
 		w.inflight.del(line)
@@ -198,18 +223,18 @@ func (w *Walker) Access(addr uint64) float64 {
 		}
 		latency += wait + float64(w.m.Spec.Chip.L1D.LatencyCycles)*w.m.Spec.Chip.CycleNs()
 		w.hier.Install(line)
-		w.prefetchHits++
+		w.n.prefetchHits++
 	} else {
 		if ok {
 			// The prefetch completed long ago; for the out-of-cache
 			// footprints these experiments use, the line has been evicted
 			// again by intervening traffic. Treat it as a fresh demand.
 			w.inflight.del(line)
-			w.staleDrops++
+			w.n.staleDrops++
 		}
 		level := w.hier.Read(line, home == w.cfg.Chip)
-		w.levelCounts[level]++
-		latency += w.levelLatencyNs(level, home, strided)
+		w.n.levelCounts[level]++
+		latency += w.m.levelLatencyNs(w.cfg.Chip, level, home, strided)
 	}
 
 	if !w.cfg.DisablePrefetch {
@@ -221,7 +246,7 @@ func (w *Walker) Access(addr uint64) float64 {
 
 	w.nowNs += latency
 	w.totalNs += latency
-	w.accesses++
+	w.n.accesses++
 	return latency
 }
 
@@ -245,7 +270,7 @@ func (w *Walker) schedule(lineAddr uint64) {
 	home := w.home(lineAddr)
 	// Prefetches are stream accesses: the Centaur pipelines them like
 	// strided demands.
-	done := w.nowNs + w.dramLatency(home, true)
+	done := w.nowNs + w.m.dramLatency(w.cfg.Chip, home, true)
 	interval := w.m.PrefetchedLatencyNs(w.cfg.Chip, home)
 	if min := w.lastDone + interval; done < min {
 		done = min
@@ -261,7 +286,7 @@ func (w *Walker) Hint(start uint64, lines, dir int) {
 	if w.cfg.DisablePrefetch {
 		return
 	}
-	w.hints++
+	w.n.hints++
 	for _, p := range w.pf.Hint(start, lines, dir) {
 		w.schedule(p)
 	}
@@ -270,7 +295,7 @@ func (w *Walker) Hint(start uint64, lines, dir int) {
 // Run drives a trace through the walker, up to max accesses (all if
 // max <= 0), and returns the aggregate result.
 func (w *Walker) Run(g trace.Generator, max int) WalkResult {
-	startNs, startAcc := w.totalNs, w.accesses
+	startNs, startAcc := w.totalNs, w.n.accesses
 	n := 0
 	for {
 		addr, ok := g.Next()
@@ -285,7 +310,7 @@ func (w *Walker) Run(g trace.Generator, max int) WalkResult {
 	}
 	w.PublishStats()
 	return WalkResult{
-		Accesses: w.accesses - startAcc,
+		Accesses: w.n.accesses - startAcc,
 		TotalNs:  w.totalNs - startNs,
 	}
 }

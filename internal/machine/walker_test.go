@@ -171,7 +171,7 @@ func TestDCBTSmallBlocks(t *testing.T) {
 			}
 			w.Access(addr)
 		}
-		return float64(w.accesses) * trace.LineSize / (w.totalNs * 1e-9)
+		return float64(w.n.accesses) * trace.LineSize / (w.totalNs * 1e-9)
 	}
 	smallPlain := run(8, false)
 	smallHint := run(8, true)
@@ -318,17 +318,17 @@ type WalkerStats struct {
 // Stats returns the breakdown of everything this walker has simulated.
 func (w *Walker) Stats() WalkerStats {
 	levels := make(map[cache.Level]uint64, cache.NumLevels)
-	for l, n := range w.levelCounts {
+	for l, n := range w.n.levelCounts {
 		if n > 0 {
 			levels[cache.Level(l)] = n
 		}
 	}
 	return WalkerStats{
-		Accesses:     w.accesses,
-		PrefetchHits: w.prefetchHits,
+		Accesses:     w.n.accesses,
+		PrefetchHits: w.n.prefetchHits,
 		Levels:       levels,
-		ERATMisses:   w.eratMisses,
-		TLBMisses:    w.tlbMisses,
+		ERATMisses:   w.n.eratMisses,
+		TLBMisses:    w.n.tlbMisses,
 	}
 }
 

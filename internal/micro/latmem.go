@@ -42,31 +42,32 @@ func Figure2Sizes() []units.Bytes {
 // sizes[i]. maxAccesses caps the measured accesses per point (<= 0 means
 // a full lap) to bound runtime on large sets; a full warm lap always
 // precedes measurement. Each working set's chase is built once and
-// rewound for every lap at every page size. A non-nil reg aggregates
-// every point's walker counters (nil runs uninstrumented); a non-nil
-// budget charges one unit per access and trips the harness watchdog
-// when exhausted.
+// walked once per lap through a machine.LaneWalker, one lane per page
+// size, reset between working sets. A non-nil reg aggregates every
+// point's walker counters, one simulated thread per page size (nil runs
+// uninstrumented); a non-nil budget charges one unit per access per page
+// size and trips the harness watchdog when exhausted.
 func LatencyCurves(m *machine.Machine, pages []arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry, budget *engine.Budget) [][]LatPoint {
 	curves := make([][]LatPoint, len(pages))
 	for p := range curves {
 		curves[p] = make([]LatPoint, 0, len(sizes))
 	}
+	w := m.NewLaneWalker(pages, reg, budget)
 	for _, ws := range sizes {
 		lines := int(ws / 128)
 		if lines < 2 {
 			continue
 		}
 		chase := trace.NewChase(0, lines, 1, 42)
-		for p, page := range pages {
-			w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg, Budget: budget})
-			// The warm lap always covers the whole working set: capping it
-			// would leave only a cache-sized warmed prefix and the measured
-			// pass would hit the wrong level.
-			chase.Reset()
-			w.Run(chase, 0)
-			chase.Reset()
-			res := w.Run(chase, maxAccesses)
-			curves[p] = append(curves[p], LatPoint{WorkingSet: ws, AvgNs: res.AvgNs()})
+		w.Reset()
+		// The warm lap always covers the whole working set: capping it
+		// would leave only a cache-sized warmed prefix and the measured
+		// pass would hit the wrong level.
+		w.Run(chase, 0)
+		chase.Reset()
+		res := w.Run(chase, maxAccesses)
+		for p := range pages {
+			curves[p] = append(curves[p], LatPoint{WorkingSet: ws, AvgNs: res[p].AvgNs()})
 		}
 	}
 	return curves

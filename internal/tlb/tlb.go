@@ -42,8 +42,6 @@ func (o Outcome) String() string {
 type TLB struct {
 	erat *cache.SetAssoc
 	tlb  *cache.SetAssoc
-
-	counts [3]uint64
 }
 
 // New builds a translation model for the given hardware spec and page
@@ -84,19 +82,17 @@ func nextPow2(n int) int {
 // where the translation was found.
 func (t *TLB) Translate(addr uint64) Outcome {
 	// Each level fills on the probe that misses it.
-	out := TLBMiss
 	if hit, _, _ := t.erat.Access(addr); hit {
-		out = ERATHit
-	} else if hit, _, _ := t.tlb.Access(addr); hit {
-		out = ERATMiss
+		return ERATHit
 	}
-	t.counts[out]++
-	return out
+	if hit, _, _ := t.tlb.Access(addr); hit {
+		return ERATMiss
+	}
+	return TLBMiss
 }
 
-// Flush empties both levels and clears counters.
+// Flush empties both levels.
 func (t *TLB) Flush() {
 	t.erat.Flush()
 	t.tlb.Flush()
-	t.counts = [3]uint64{}
 }

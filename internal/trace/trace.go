@@ -90,24 +90,38 @@ type Chase struct {
 // NewChase builds a pointer chase over lines cache lines starting at base,
 // visiting each once per lap for laps laps, in a random cyclic order drawn
 // from seed. Every lap starts at line 0.
+//
+// The cycle is Sattolo's: for i from lines-1 down to 1, swap next[i] with
+// next[j] for a uniform j < i. Before that swap, i and j lie on different
+// cycles, and the swap splices i's whole cycle into j's just after j,
+// ending at i. So the finished cycle, read from line 0, is line 0 followed
+// by a post-order walk of the tree that makes j the parent of i, each
+// node's children in increasing order. NewChase draws the same j values
+// and places every line at its post-order index from subtree sizes,
+// instead of following next[] one dependent host cache miss at a time.
 func NewChase(base uint64, lines, laps int, seed uint64) *Chase {
 	if lines < 2 {
 		panic("trace: chase needs at least two lines")
 	}
-	next := make([]int32, lines)
-	for i := range next {
-		next[i] = int32(i)
-	}
+	parent := make([]int32, lines)
+	// slot[v] holds v's subtree size less one until the placing pass
+	// reaches v, then the next free index of v's children's blocks.
+	slot := make([]int32, lines)
 	r := rng.New(seed)
-	// Sattolo's algorithm: a uniformly random single-cycle permutation,
-	// read as next[i] = the line after line i.
 	for i := lines - 1; i > 0; i-- {
-		j := r.Intn(i)
-		next[i], next[j] = next[j], next[i]
+		j := int32(r.Intn(i))
+		parent[i] = j
+		slot[j] += slot[i] + 1
 	}
+	// Line 0 stays at order[0]; its children's blocks fill the rest.
 	order := make([]int32, lines)
-	for k, cur := 1, next[0]; k < lines; k, cur = k+1, next[cur] {
-		order[k] = cur
+	slot[0] = 1
+	for i := 1; i < lines; i++ {
+		p := parent[i]
+		start, size := slot[p], slot[i]+1
+		slot[p] = start + size
+		slot[i] = start
+		order[start+size-1] = int32(i) // post-order: a node ends its block
 	}
 	return &Chase{base: base, order: order, laps: laps}
 }

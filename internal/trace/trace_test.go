@@ -123,7 +123,7 @@ func TestChaseMatchesPointerChase(t *testing.T) {
 	for _, tc := range []struct {
 		lines, laps int
 		seed        uint64
-	}{{2, 3, 1}, {3, 1, 9}, {257, 2, 7}, {4096, 2, 42}} {
+	}{{2, 3, 1}, {3, 1, 9}, {257, 2, 7}, {4096, 2, 42}, {100_003, 1, 5}} {
 		want := pointerChase(1<<20, tc.lines, tc.laps, tc.seed)
 		g := NewChase(1<<20, tc.lines, tc.laps, tc.seed)
 		for pass := 0; pass < 2; pass++ {
