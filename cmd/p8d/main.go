@@ -53,6 +53,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -61,47 +62,65 @@ import (
 	power8 "repro"
 	"repro/internal/journal"
 	"repro/internal/parallel"
+	"repro/internal/runreq"
 	"repro/internal/service"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args, os.Stderr)) }
 
-func run() int {
+// run is the daemon: args are the program name and its flags (as in
+// os.Args), every diagnostic goes to stderr, and the return value is
+// the exit status.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", ":8084", "listen address")
-		queue    = flag.Int("queue", 16, "admission queue depth (jobs beyond it are rejected with 429)")
-		jworkers = flag.Int("jobworkers", 2, "jobs executing concurrently")
-		nocache  = flag.Bool("nocache", false, "disable the content-addressed result cache")
-		cacheDir = flag.String("cachedir", "", "persist cached reports to this directory (warm restarts)")
-		cacheMB  = flag.Int64("cachemb", 64, "in-memory report cache budget in MiB")
-		kworkers = flag.Int("kernelworkers", 0, "worker-team size for the host kernels (0 = GOMAXPROCS)")
-		grainf   = flag.Int("grainfactor", 0, "dynamic-schedule chunks per worker (0 = default)")
-		waitcap  = flag.Duration("waitlimit", 60*time.Second, "upper bound on the ?wait long-poll parameter")
-		jdir     = flag.String("journal", "", "write-ahead job journal directory (enables crash recovery)")
-		fsyncStr = flag.String("fsync", "always", "journal fsync policy: always | off (off requires -journal)")
+		addr     = fs.String("addr", ":8084", "listen address")
+		queue    = fs.Int("queue", 16, "admission queue depth (jobs beyond it are rejected with 429)")
+		jworkers = fs.Int("jobworkers", 2, "jobs executing concurrently")
+		nocache  = fs.Bool("nocache", false, "disable the content-addressed result cache")
+		cacheDir = fs.String("cachedir", "", "persist cached reports to this directory (warm restarts)")
+		cacheMB  = fs.Int64("cachemb", 64, "in-memory report cache budget in MiB")
+		kernel   = runreq.KernelFlags(fs)
+		waitcap  = fs.Duration("waitlimit", 60*time.Second, "upper bound on the ?wait long-poll parameter")
+		jdir     = fs.String("journal", "", "write-ahead job journal directory (enables crash recovery)")
+		fsyncStr = fs.String("fsync", "always", "journal fsync policy: always | off (off requires -journal)")
 	)
-	flag.Parse()
-
-	if err := validateFlags(*queue, *jworkers, *cacheMB, *kworkers, *grainf); err != nil {
-		fmt.Fprintln(os.Stderr, "p8d:", err)
-		flag.Usage()
-		return 2
-	}
-	fsyncSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "fsync" {
-			fsyncSet = true
+	if err := fs.Parse(args[1:]); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-	})
-	syncPolicy, err := fsyncPolicy(*fsyncStr, fsyncSet, *jdir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p8d:", err)
-		flag.Usage()
 		return 2
 	}
 
-	parallel.SetDefaultWorkers(*kworkers)
-	parallel.SetGrainFactor(*grainf)
+	// Reject bad flags up front with one friendly line plus the usage
+	// text (exit 2), the same contract as p8repro.
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "p8d:", msg)
+		fs.Usage()
+		return 2
+	}
+	switch {
+	case *queue < 1:
+		return usage(fmt.Sprintf("-queue must be at least 1, got %d", *queue))
+	case *jworkers < 1:
+		return usage(fmt.Sprintf("-jobworkers must be at least 1, got %d", *jworkers))
+	case *cacheMB < 1:
+		return usage(fmt.Sprintf("-cachemb must be at least 1, got %d", *cacheMB))
+	}
+	if err := kernel(); err != nil {
+		return usage(err.Error())
+	}
+	// An explicit -fsync without -journal governs nothing.
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "fsync" })
+	if explicit && *jdir == "" {
+		return usage("-fsync requires -journal (there is no journal to sync)")
+	}
+	syncPolicy, ok := map[string]journal.SyncPolicy{"always": journal.SyncAlways, "off": journal.SyncNever}[*fsyncStr]
+	if !ok {
+		return usage(fmt.Sprintf("-fsync must be \"always\" or \"off\", got %q", *fsyncStr))
+	}
 
 	// The service is always observed: the registry is the /v1/stats
 	// endpoint, and the shared worker teams and the cache hang their
@@ -117,7 +136,7 @@ func run() int {
 			Dir:      *cacheDir,
 		}, root)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "p8d:", err)
+			fmt.Fprintln(stderr, "p8d:", err)
 			return 2
 		}
 	}
@@ -128,7 +147,7 @@ func run() int {
 		var err error
 		jnl, recovery, err = journal.Open(*jdir, journal.Options{Sync: syncPolicy, Stats: root})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "p8d: journal:", err)
+			fmt.Fprintln(stderr, "p8d: journal:", err)
 			return 2
 		}
 	}
@@ -143,13 +162,13 @@ func run() int {
 	})
 	if jnl != nil {
 		sum := svc.Recover(recovery.Records)
-		fmt.Fprintf(os.Stderr, "p8d: journal %s: replayed %d records from %d segments (%s)\n",
+		fmt.Fprintf(stderr, "p8d: journal %s: replayed %d records from %d segments (%s)\n",
 			*jdir, len(recovery.Records), recovery.Segments, sum)
 		if recovery.TornTail {
-			fmt.Fprintln(os.Stderr, "p8d: journal: torn tail truncated (expected after a crash)")
+			fmt.Fprintln(stderr, "p8d: journal: torn tail truncated (expected after a crash)")
 		}
 		if recovery.CorruptStop {
-			fmt.Fprintln(os.Stderr, "p8d: journal: WARNING: corruption mid-log; replay stopped at the last trustworthy record")
+			fmt.Fprintln(stderr, "p8d: journal: WARNING: corruption mid-log; replay stopped at the last trustworthy record")
 		}
 	}
 	svc.Start()
@@ -161,16 +180,16 @@ func run() int {
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
-	fmt.Fprintf(os.Stderr, "p8d: serving on %s (queue %d, %d job workers, cache %s)\n",
+	fmt.Fprintf(stderr, "p8d: serving on %s (queue %d, %d job workers, cache %s)\n",
 		*addr, *queue, *jworkers, cacheMode(*nocache, *cacheDir))
 
 	select {
 	case err := <-errc:
 		// ListenAndServe only returns on failure to bind or serve.
-		fmt.Fprintln(os.Stderr, "p8d:", err)
+		fmt.Fprintln(stderr, "p8d:", err)
 		return 1
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "p8d: %v — draining (admitted jobs run to completion; signal again to abort)\n", sig)
+		fmt.Fprintf(stderr, "p8d: %v — draining (admitted jobs run to completion; signal again to abort)\n", sig)
 	}
 
 	// Drain: stop admitting and let the workers finish every admitted
@@ -179,57 +198,20 @@ func run() int {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr, "p8d: second signal — aborting drain")
+		fmt.Fprintln(stderr, "p8d: second signal — aborting drain")
 		cancel()
 	}()
 	if err := svc.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "p8d: drain aborted:", err)
+		fmt.Fprintln(stderr, "p8d: drain aborted:", err)
 		_ = server.Close()
 		return 1
 	}
 	if err := server.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "p8d: server shutdown:", err)
+		fmt.Fprintln(stderr, "p8d: server shutdown:", err)
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, "p8d: drained, exiting")
+	fmt.Fprintln(stderr, "p8d: drained, exiting")
 	return 0
-}
-
-// validateFlags rejects nonsensical values up front with one friendly
-// line plus the usage text (exit 2), the same contract as p8repro.
-func validateFlags(queue, jworkers int, cacheMB int64, kworkers, grainf int) error {
-	if queue < 1 {
-		return fmt.Errorf("-queue must be at least 1, got %d", queue)
-	}
-	if jworkers < 1 {
-		return fmt.Errorf("-jobworkers must be at least 1, got %d", jworkers)
-	}
-	if cacheMB < 1 {
-		return fmt.Errorf("-cachemb must be at least 1, got %d", cacheMB)
-	}
-	if kworkers < 0 {
-		return fmt.Errorf("-kernelworkers must be >= 0, got %d", kworkers)
-	}
-	if grainf < 0 {
-		return fmt.Errorf("-grainfactor must be >= 0, got %d", grainf)
-	}
-	return nil
-}
-
-// fsyncPolicy resolves the -fsync flag. An explicit -fsync without
-// -journal is a configuration error (the policy governs nothing), and
-// an unknown policy name is too; both exit 2 via the caller.
-func fsyncPolicy(value string, explicit bool, journalDir string) (journal.SyncPolicy, error) {
-	if explicit && journalDir == "" {
-		return 0, fmt.Errorf("-fsync requires -journal (there is no journal to sync)")
-	}
-	switch value {
-	case "always":
-		return journal.SyncAlways, nil
-	case "off":
-		return journal.SyncNever, nil
-	}
-	return 0, fmt.Errorf("-fsync must be \"always\" or \"off\", got %q", value)
 }
 
 // cacheMode renders the cache configuration for the startup banner.

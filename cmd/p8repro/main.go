@@ -62,6 +62,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -71,58 +72,80 @@ import (
 
 	"repro"
 	"repro/internal/fault"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/runreq"
 )
 
 // main delegates to run so that deferred profile writers execute before
 // the process picks its exit status.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 
-func run() int {
+// run is the command: args are the program name and its flags (as in
+// os.Args), reports go to stdout, diagnostics to stderr, and the return
+// value is the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID      = flag.String("exp", "", "run a single experiment by id (e.g. table3, figure7)")
-		quick      = flag.Bool("quick", false, "reduced working sets and scales")
-		markdown   = flag.Bool("markdown", false, "emit a markdown report (EXPERIMENTS.md format)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		ablations  = flag.Bool("ablations", false, "run the design-choice ablation studies instead")
-		workers    = flag.Int("parallel", runtime.NumCPU(), "max experiments running concurrently (1 = sequential)")
-		kworkers   = flag.Int("kernelworkers", 0, "worker-team size for the host kernels (0 = GOMAXPROCS)")
-		grainf     = flag.Int("grainfactor", 0, "dynamic-schedule chunks per worker (0 = default)")
-		timing     = flag.Bool("time", false, "report the suite's wall-clock time on stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		stats      = flag.Bool("stats", false, "collect runtime counters and append a counter appendix per experiment")
-		statsaddr  = flag.String("statsaddr", "", "serve the live counter registry over HTTP at this address (implies -stats)")
-		faults     = flag.String("faults", "", "run the degradation suite under this fault plan (canned name or event grammar)")
-		faultseed  = flag.Uint64("faultseed", 0, "run the degradation suite under a random fault plan derived from this seed (0 = off)")
-		shards     = flag.Int("shards", 0, "DES shard count for the simulated experiments (0 = auto, must divide the socket count)")
-		useCache   = flag.Bool("cache", false, "memoize reports in memory")
-		cacheDir   = flag.String("cachedir", "", "persist cached reports to this directory for warm re-runs (implies -cache)")
+		expID      = fs.String("exp", "", "run a single experiment by id (e.g. table3, figure7)")
+		quick      = fs.Bool("quick", false, "reduced working sets and scales")
+		markdown   = fs.Bool("markdown", false, "emit a markdown report (EXPERIMENTS.md format)")
+		list       = fs.Bool("list", false, "list experiment ids and exit")
+		ablations  = fs.Bool("ablations", false, "run the design-choice ablation studies instead")
+		workers    = fs.Int("parallel", runtime.NumCPU(), "max experiments running concurrently (1 = sequential)")
+		kernel     = runreq.KernelFlags(fs)
+		timing     = fs.Bool("time", false, "report the suite's wall-clock time on stderr")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file")
+		stats      = fs.Bool("stats", false, "collect runtime counters and append a counter appendix per experiment")
+		statsaddr  = fs.String("statsaddr", "", "serve the live counter registry over HTTP at this address (implies -stats)")
+		faults     = fs.String("faults", "", "run the degradation suite under this fault plan (canned name or event grammar)")
+		faultseed  = fs.Uint64("faultseed", 0, "run the degradation suite under a random fault plan derived from this seed (0 = off)")
+		shards     = fs.Int("shards", 0, "DES shard count for the simulated experiments (0 = auto, must divide the socket count)")
+		useCache   = fs.Bool("cache", false, "memoize reports in memory")
+		cacheDir   = fs.String("cachedir", "", "persist cached reports to this directory for warm re-runs (implies -cache)")
 	)
-	flag.Parse()
-
-	// Validate flag combinations up front with a friendly message and the
-	// usage text rather than failing mid-run.
-	if err := validateFlags(*workers, *kworkers, *grainf, *shards, *faults, *faultseed, *ablations); err != nil {
-		fmt.Fprintln(os.Stderr, "p8repro:", err)
-		flag.Usage()
+	if err := fs.Parse(args[1:]); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 2
 	}
-	faultMode := *faults != "" || *faultseed != 0
-	var plan *power8.FaultPlan
-	if faultMode {
-		var err error
-		if plan, err = resolvePlan(*faults, *faultseed); err != nil {
-			fmt.Fprintln(os.Stderr, "p8repro:", err)
-			fmt.Fprintln(os.Stderr, "p8repro: canned plans:", strings.Join(fault.CannedNames(), ", "))
-			return 2
-		}
-	}
 
-	parallel.SetDefaultWorkers(*kworkers)
-	parallel.SetGrainFactor(*grainf)
+	// Reject bad flags up front with one friendly line and the usage
+	// text rather than failing mid-run.
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "p8repro:", msg)
+		fs.Usage()
+		return 2
+	}
+	if *workers < 1 {
+		return usage(fmt.Sprintf("-parallel must be at least 1, got %d", *workers))
+	}
+	if err := kernel(); err != nil {
+		return usage(err.Error())
+	}
+	if *ablations && (*faults != "" || *faultseed != 0) {
+		return usage("-ablations cannot be combined with -faults/-faultseed")
+	}
+	req := runreq.Request{Quick: *quick, Faults: *faults, FaultSeed: *faultseed, Shards: *shards}
+	if *expID != "" {
+		req.Experiments = []string{*expID}
+	}
+	resolved, err := runreq.Resolve(req, runreq.Machines())
+	if err != nil {
+		re := err.(*runreq.Error)
+		msg := re.Render(func(field string) string { return "-" + field })
+		if re.Kind == runreq.Invalid {
+			return usage(msg)
+		}
+		fmt.Fprintln(stderr, "p8repro:", msg)
+		if re.Kind == runreq.BadPlan {
+			fmt.Fprintln(stderr, "p8repro: canned plans:", strings.Join(fault.CannedNames(), ", "))
+		}
+		return 2
+	}
 
 	var root *power8.StatsRegistry
 	if *stats || *statsaddr != "" {
@@ -131,7 +154,7 @@ func run() int {
 		if *statsaddr != "" {
 			go func() {
 				if err := http.ListenAndServe(*statsaddr, root); err != nil {
-					fmt.Fprintln(os.Stderr, "p8repro: stats server:", err)
+					fmt.Fprintln(stderr, "p8repro: stats server:", err)
 				}
 			}()
 		}
@@ -141,33 +164,32 @@ func run() int {
 	// bypassed by the harness.
 	var cache *power8.SuiteCache
 	if *useCache || *cacheDir != "" {
-		var err error
 		if cache, err = power8.NewSuiteCache(power8.CacheOptions{Dir: *cacheDir}, root); err != nil {
-			fmt.Fprintln(os.Stderr, "p8repro:", err)
+			fmt.Fprintln(stderr, "p8repro:", err)
 			return 2
 		}
 	}
 
 	if *list {
 		for _, e := range power8.Experiments() {
-			fmt.Printf("%-10s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.ID, e.Title)
 		}
-		fmt.Println("\ndegradation suite (run with -faults or -faultseed):")
+		fmt.Fprintln(stdout, "\ndegradation suite (run with -faults or -faultseed):")
 		for _, e := range power8.FaultExperiments() {
-			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.ID, e.Title)
 		}
-		fmt.Println("\ncanned fault plans:", strings.Join(fault.CannedNames(), ", "))
+		fmt.Fprintln(stdout, "\ncanned fault plans:", strings.Join(fault.CannedNames(), ", "))
 		return 0
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "p8repro: ", err)
+			fmt.Fprintln(stderr, "p8repro: ", err)
 			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "p8repro: ", err)
+			fmt.Fprintln(stderr, "p8repro: ", err)
 			return 2
 		}
 		defer func() {
@@ -179,180 +201,104 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "p8repro: ", err)
+				fmt.Fprintln(stderr, "p8repro: ", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "p8repro: ", err)
+				fmt.Fprintln(stderr, "p8repro: ", err)
 			}
 		}()
 	}
 
 	if *ablations {
-		printAblations()
+		printAblations(stdout)
 		return 0
 	}
 
-	m := power8.NewE870()
+	// More workers than experiments would only idle, and one worker is
+	// what lets -stats attribute allocations to each experiment.
 	start := time.Now()
-	var reports []*power8.Report
-	switch {
-	case faultMode:
-		suite := power8.FaultExperiments()
-		if *expID != "" {
-			if suite = filterSuite(suite, *expID); suite == nil {
-				fmt.Fprintf(os.Stderr, "p8repro: unknown degradation experiment %q\n", *expID)
-				return 2
-			}
-		}
-		reports = power8.RunSuite(suite, m, power8.RunOptions{
-			Quick: *quick, Workers: *workers, Stats: root, Faults: plan, Shards: *shards, Cache: cache,
-		})
-	case *expID != "":
-		suite := filterSuite(power8.Experiments(), *expID)
-		if suite == nil {
-			fmt.Fprintf(os.Stderr, "p8repro: unknown experiment %q\n", *expID)
-			return 2
-		}
-		reports = power8.RunSuite(suite, m, power8.RunOptions{
-			Quick: *quick, Workers: 1, Stats: root, Shards: *shards, Cache: cache,
-		})
-	default:
-		reports = power8.RunSuite(power8.Experiments(), m, power8.RunOptions{
-			Quick: *quick, Workers: *workers, Stats: root, Shards: *shards, Cache: cache,
-		})
-	}
+	reports := power8.RunSuite(resolved.Experiments, resolved.Machine, power8.RunOptions{
+		Quick: *quick, Workers: min(*workers, len(resolved.Experiments)), Stats: root, Faults: resolved.Plan, Shards: *shards, Cache: cache,
+	})
 	if *timing {
-		fmt.Fprintf(os.Stderr, "p8repro: suite wall-clock %.2fs (parallel=%d)\n",
+		fmt.Fprintf(stderr, "p8repro: suite wall-clock %.2fs (parallel=%d)\n",
 			time.Since(start).Seconds(), *workers)
 	}
 
 	failed := 0
 	for _, rep := range reports {
 		if *markdown {
-			printMarkdown(rep)
+			printMarkdown(stdout, rep)
 		} else {
-			printText(rep)
+			printText(stdout, rep)
 		}
 		if !rep.Passed() {
 			failed++
 		}
 	}
 	if root != nil {
-		printSharedStats(root, *markdown)
+		printSharedStats(stdout, root, *markdown)
 	}
 	if !*markdown {
-		fmt.Printf("\n%d/%d experiments passed all checks\n", len(reports)-failed, len(reports))
+		fmt.Fprintf(stdout, "\n%d/%d experiments passed all checks\n", len(reports)-failed, len(reports))
 	}
 	if failed > 0 {
 		return 1
 	}
 	if *statsaddr != "" {
-		fmt.Fprintf(os.Stderr, "p8repro: serving counters on %s until interrupted\n", *statsaddr)
+		fmt.Fprintf(stderr, "p8repro: serving counters on %s until interrupted\n", *statsaddr)
 		select {}
 	}
 	return 0
 }
 
-// validateFlags rejects nonsensical flag values and combinations before
-// any work starts, so the user gets one friendly line plus the usage
-// text (exit 2) instead of a mid-run panic.
-func validateFlags(workers, kworkers, grainf, shards int, faults string, faultseed uint64, ablations bool) error {
-	if workers < 1 {
-		return fmt.Errorf("-parallel must be at least 1, got %d", workers)
-	}
-	if kworkers < 0 {
-		return fmt.Errorf("-kernelworkers must be >= 0, got %d", kworkers)
-	}
-	if grainf < 0 {
-		return fmt.Errorf("-grainfactor must be >= 0, got %d", grainf)
-	}
-	if spec := power8.E870Spec(); shards != 0 && !machine.ShardCountValid(spec, shards) {
-		return fmt.Errorf("-shards %d does not divide the %d-socket topology (use 0 for auto or a divisor of %d)",
-			shards, spec.Topology.Chips, spec.Topology.Chips)
-	}
-	if faults != "" && faultseed != 0 {
-		return fmt.Errorf("-faults and -faultseed are mutually exclusive; pick one plan source")
-	}
-	if ablations && (faults != "" || faultseed != 0) {
-		return fmt.Errorf("-ablations cannot be combined with -faults/-faultseed")
-	}
-	return nil
-}
-
-// resolvePlan turns the fault flags into a validated plan against the
-// E870 spec the suite runs on.
-func resolvePlan(faults string, faultseed uint64) (*power8.FaultPlan, error) {
-	spec := power8.E870Spec()
-	if faultseed != 0 {
-		return fault.Random(faultseed, spec, 4), nil
-	}
-	plan, err := fault.Parse(faults)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Validate(spec); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-// filterSuite narrows a suite to one experiment id; nil means not found.
-func filterSuite(suite []power8.Experiment, id string) []power8.Experiment {
-	for _, e := range suite {
-		if e.ID == id {
-			return []power8.Experiment{e}
-		}
-	}
-	return nil
-}
-
-func printText(rep *power8.Report) {
-	fmt.Printf("\n=== %s — %s ===\n", rep.ID, rep.Title)
+func printText(w io.Writer, rep *power8.Report) {
+	fmt.Fprintf(w, "\n=== %s — %s ===\n", rep.ID, rep.Title)
 	if rep.Failed() {
-		fmt.Println("  status: FAILED (isolated by the harness)")
+		fmt.Fprintln(w, "  status: FAILED (isolated by the harness)")
 		for _, l := range strings.Split(strings.TrimRight(rep.Err, "\n"), "\n") {
-			fmt.Println("    " + l)
+			fmt.Fprintln(w, "    "+l)
 		}
 		return
 	}
 	for _, l := range rep.Lines {
-		fmt.Println("  " + l)
+		fmt.Fprintln(w, "  "+l)
 	}
 	if len(rep.Notes) > 0 {
-		fmt.Println("  notes:")
+		fmt.Fprintln(w, "  notes:")
 		for _, n := range rep.Notes {
-			fmt.Println("    - " + n)
+			fmt.Fprintln(w, "    - "+n)
 		}
 	}
-	fmt.Println("  checks:")
+	fmt.Fprintln(w, "  checks:")
 	for _, c := range rep.Checks {
-		fmt.Println("    " + c.String())
+		fmt.Fprintln(w, "    "+c.String())
 	}
 	if rep.Stats != nil && !rep.Stats.Empty() {
-		fmt.Println("  counters:")
-		printSnapshotText(*rep.Stats, "")
+		fmt.Fprintln(w, "  counters:")
+		printSnapshotText(w, *rep.Stats, "")
 	}
 }
 
 // printSnapshotText renders a snapshot tree as indented "path value"
 // lines (the text-mode counter appendix). The root's own name is elided:
 // it repeats the experiment id from the report header.
-func printSnapshotText(s power8.StatsSnapshot, prefix string) {
+func printSnapshotText(w io.Writer, s power8.StatsSnapshot, prefix string) {
 	for _, c := range s.Counters {
-		fmt.Printf("    %-44s %12d\n", prefix+c.Name, c.Value)
+		fmt.Fprintf(w, "    %-44s %12d\n", prefix+c.Name, c.Value)
 	}
 	for _, g := range s.Gauges {
-		fmt.Printf("    %-44s %12d  (gauge)\n", prefix+g.Name, g.Value)
+		fmt.Fprintf(w, "    %-44s %12d  (gauge)\n", prefix+g.Name, g.Value)
 	}
 	for _, d := range s.Distributions {
-		fmt.Printf("    %-44s n=%d mean=%.0f p50=%d p99=%d max=%d\n",
+		fmt.Fprintf(w, "    %-44s n=%d mean=%.0f p50=%d p99=%d max=%d\n",
 			prefix+d.Name, d.Count, d.Mean, d.P50, d.P99, d.Max)
 	}
 	for _, child := range s.Children {
-		printSnapshotText(child, prefix+child.Name+"/")
+		printSnapshotText(w, child, prefix+child.Name+"/")
 	}
 }
 
@@ -360,7 +306,7 @@ func printSnapshotText(s power8.StatsSnapshot, prefix string) {
 // the kernel runtime's shared worker teams and the result caches, which
 // outlive any one experiment and therefore cannot appear in
 // per-experiment appendices.
-func printSharedStats(root *power8.StatsRegistry, markdown bool) {
+func printSharedStats(w io.Writer, root *power8.StatsRegistry, markdown bool) {
 	scopes := []string{"parallel", "memo"}
 	for _, name := range scopes {
 		s := root.Child(name).Snapshot()
@@ -368,49 +314,49 @@ func printSharedStats(root *power8.StatsRegistry, markdown bool) {
 			continue
 		}
 		if markdown {
-			fmt.Printf("\n## %s counters (process-wide)\n\n", name)
-			obs.WriteMarkdown(os.Stdout, s)
+			fmt.Fprintf(w, "\n## %s counters (process-wide)\n\n", name)
+			obs.WriteMarkdown(w, s)
 			continue
 		}
-		fmt.Printf("\n=== %s counters (process-wide) ===\n", name)
-		printSnapshotText(s, name+"/")
+		fmt.Fprintf(w, "\n=== %s counters (process-wide) ===\n", name)
+		printSnapshotText(w, s, name+"/")
 	}
 }
 
-func printMarkdown(rep *power8.Report) {
-	fmt.Printf("\n## %s — %s\n\n", rep.ID, rep.Title)
+func printMarkdown(w io.Writer, rep *power8.Report) {
+	fmt.Fprintf(w, "\n## %s — %s\n\n", rep.ID, rep.Title)
 	if rep.Failed() {
-		fmt.Println("**FAILED** — the harness isolated this experiment:")
-		fmt.Println()
-		fmt.Println("```")
-		fmt.Println(strings.TrimRight(rep.Err, "\n"))
-		fmt.Println("```")
+		fmt.Fprintln(w, "**FAILED** — the harness isolated this experiment:")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "```")
+		fmt.Fprintln(w, strings.TrimRight(rep.Err, "\n"))
+		fmt.Fprintln(w, "```")
 		return
 	}
-	fmt.Println("```")
+	fmt.Fprintln(w, "```")
 	for _, l := range rep.Lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
-	fmt.Println("```")
+	fmt.Fprintln(w, "```")
 	if len(rep.Notes) > 0 {
 		for _, n := range rep.Notes {
-			fmt.Println("- " + n)
+			fmt.Fprintln(w, "- "+n)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("| check | result |")
-	fmt.Println("|---|---|")
+	fmt.Fprintln(w, "| check | result |")
+	fmt.Fprintln(w, "|---|---|")
 	for _, c := range rep.Checks {
 		status := "pass"
 		if !c.Pass() {
 			status = "**FAIL**"
 		}
 		name := strings.ReplaceAll(c.String(), "|", "/")
-		fmt.Printf("| `%s` | %s |\n", name, status)
+		fmt.Fprintf(w, "| `%s` | %s |\n", name, status)
 	}
 	if rep.Stats != nil && !rep.Stats.Empty() {
-		fmt.Print("\n<details><summary>Counter appendix</summary>\n\n")
-		obs.WriteMarkdown(os.Stdout, *rep.Stats)
-		fmt.Println("\n</details>")
+		fmt.Fprint(w, "\n<details><summary>Counter appendix</summary>\n\n")
+		obs.WriteMarkdown(w, *rep.Stats)
+		fmt.Fprintln(w, "\n</details>")
 	}
 }

@@ -11,12 +11,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	register("figure10", "Figure 10: All-pairs Jaccard similarity on R-MAT graphs", runFigure10)
-	register("figure11", "Figure 11: CSR SpMV performance across the matrix suite", runFigure11)
-	register("figure12", "Figure 12: Graph SpMV scalability on R-MAT graphs", runFigure12)
-}
-
 func runFigure10(ctx *Context) *Report {
 	r := newReport("figure10", "Figure 10: All-pairs Jaccard similarity on R-MAT graphs")
 

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -182,32 +181,28 @@ type Experiment struct {
 	Run   func(*Context) *Report
 }
 
-var registry []Experiment
-
-func register(id, title string, run func(*Context) *Report) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
-}
-
 // All returns every experiment in the paper's order.
 func All() []Experiment {
-	out := append([]Experiment(nil), registry...)
-	sort.SliceStable(out, func(i, j int) bool { return orderOf(out[i].ID) < orderOf(out[j].ID) })
-	return out
-}
-
-// orderOf fixes the paper's presentation order.
-func orderOf(id string) int {
-	order := []string{
-		"table1", "table2", "figure1", "figure2", "table3", "figure3",
-		"table4", "figure4", "figure5", "figure6", "figure7", "figure8",
-		"figure9", "figure10", "figure11", "figure12", "table5", "table6",
+	return []Experiment{
+		{ID: "table1", Title: "Table I: POWER7 and POWER8 at a glance", Run: runTable1},
+		{ID: "table2", Title: "Table II: Characteristics of the IBM Power System E870", Run: runTable2},
+		{ID: "figure1", Title: "Figure 1: High-level block diagram of the E870", Run: runFigure1},
+		{ID: "figure2", Title: "Figure 2: Observed memory read latency on E870", Run: runFigure2},
+		{ID: "table3", Title: "Table III: Observed memory bandwidth vs read:write ratio", Run: runTable3},
+		{ID: "figure3", Title: "Figure 3: Memory bandwidth scaling with threads and cores", Run: runFigure3},
+		{ID: "table4", Title: "Table IV: Memory read access latency and bandwidth between chips", Run: runTable4},
+		{ID: "figure4", Title: "Figure 4: Random-access bandwidth vs threads and outstanding requests", Run: runFigure4},
+		{ID: "figure5", Title: "Figure 5: FMA throughput vs threads per core and loop FMAs", Run: runFigure5},
+		{ID: "figure6", Title: "Figure 6: Latency and bandwidth vs DSCR prefetch depth", Run: runFigure6},
+		{ID: "figure7", Title: "Figure 7: Stride-256 latency with stride-N detection on/off", Run: runFigure7},
+		{ID: "figure8", Title: "Figure 8: DCBT benefit for randomly ordered sequential blocks", Run: runFigure8},
+		{ID: "figure9", Title: "Figure 9: Roofline for the IBM Power System E870", Run: runFigure9},
+		{ID: "figure10", Title: "Figure 10: All-pairs Jaccard similarity on R-MAT graphs", Run: runFigure10},
+		{ID: "figure11", Title: "Figure 11: CSR SpMV performance across the matrix suite", Run: runFigure11},
+		{ID: "figure12", Title: "Figure 12: Graph SpMV scalability on R-MAT graphs", Run: runFigure12},
+		{ID: "table5", Title: "Table V: Test molecular systems", Run: runTable5},
+		{ID: "table6", Title: "Table VI: Timings for HF-Comp and HF-Mem on E870", Run: runTable6},
 	}
-	for i, v := range order {
-		if v == id {
-			return i
-		}
-	}
-	return len(order)
 }
 
 // SuiteNames returns the named suites a caller can run, in a fixed
@@ -230,7 +225,7 @@ func SuiteByName(name string) (suite []Experiment, ok bool) {
 
 // ByID looks up one experiment.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range registry {
+	for _, e := range All() {
 		if e.ID == id {
 			return e, true
 		}

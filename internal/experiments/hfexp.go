@@ -5,11 +5,6 @@ import (
 	"repro/internal/perfmodel"
 )
 
-func init() {
-	register("table5", "Table V: Test molecular systems", runTable5)
-	register("table6", "Table VI: Timings for HF-Comp and HF-Mem on E870", runTable6)
-}
-
 // screenTol is the paper's screening tolerance.
 const screenTol = 1e-10
 

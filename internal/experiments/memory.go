@@ -6,12 +6,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	register("figure2", "Figure 2: Observed memory read latency on E870", runFigure2)
-	register("table3", "Table III: Observed memory bandwidth vs read:write ratio", runTable3)
-	register("figure3", "Figure 3: Memory bandwidth scaling with threads and cores", runFigure3)
-}
-
 func runFigure2(ctx *Context) *Report {
 	r := newReport("figure2", "Figure 2: Observed memory read latency on E870")
 	sizes := micro.Figure2Sizes()

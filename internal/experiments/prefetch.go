@@ -5,12 +5,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	register("figure6", "Figure 6: Latency and bandwidth vs DSCR prefetch depth", runFigure6)
-	register("figure7", "Figure 7: Stride-256 latency with stride-N detection on/off", runFigure7)
-	register("figure8", "Figure 8: DCBT benefit for randomly ordered sequential blocks", runFigure8)
-}
-
 func runFigure6(ctx *Context) *Report {
 	r := newReport("figure6", "Figure 6: Latency and bandwidth vs DSCR prefetch depth")
 	lines := 1 << 18

@@ -8,10 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	register("figure9", "Figure 9: Roofline for the IBM Power System E870", runFigure9)
-}
-
 func runFigure9(ctx *Context) *Report {
 	r := newReport("figure9", "Figure 9: Roofline for the IBM Power System E870")
 	sys := ctx.Machine.Spec

@@ -6,10 +6,6 @@ import (
 	"repro/internal/micro"
 )
 
-func init() {
-	register("table4", "Table IV: Memory read access latency and bandwidth between chips", runTable4)
-}
-
 func runTable4(ctx *Context) *Report {
 	r := newReport("table4", "Table IV: Memory read access latency and bandwidth between chips")
 	rows, agg := micro.TableIV(ctx.Machine)

@@ -4,12 +4,6 @@ import (
 	"repro/internal/arch"
 )
 
-func init() {
-	register("table1", "Table I: POWER7 and POWER8 at a glance", runTable1)
-	register("table2", "Table II: Characteristics of the IBM Power System E870", runTable2)
-	register("figure1", "Figure 1: High-level block diagram of the E870", runFigure1)
-}
-
 func runTable1(ctx *Context) *Report {
 	r := newReport("table1", "Table I: POWER7 and POWER8 at a glance")
 	p7 := arch.POWER7(8, 3.8)

@@ -7,11 +7,6 @@ import (
 	"repro/internal/smt"
 )
 
-func init() {
-	register("figure4", "Figure 4: Random-access bandwidth vs threads and outstanding requests", runFigure4)
-	register("figure5", "Figure 5: FMA throughput vs threads per core and loop FMAs", runFigure5)
-}
-
 func runFigure4(ctx *Context) *Report {
 	r := newReport("figure4", "Figure 4: Random-access bandwidth vs threads and outstanding requests")
 	pts := micro.Figure4(ctx.Machine)

@@ -36,8 +36,7 @@ type diskStore struct {
 }
 
 // SetDir enables the on-disk store under dir on the real filesystem,
-// creating it if needed. Only byte-valued entries (DoBytes) touch the
-// disk; opaque in-memory values (Do) stay memory-only.
+// creating it if needed.
 func (c *Cache) SetDir(dir string) error {
 	return c.SetDirFS(dir, iofault.OS{})
 }
@@ -60,7 +59,7 @@ func (c *Cache) SetDirFS(dir string, fsys iofault.FS) error {
 // memory LRU, or (when the on-disk store is enabled) as a disk entry.
 // It is purely advisory: it promotes nothing, validates nothing,
 // charges no stats, and the answer can be stale by the time the caller
-// acts on it (a concurrent Do may insert or evict the key at any
+// acts on it (a concurrent DoBytes may insert or evict the key at any
 // moment). p8d uses it to annotate freshly admitted jobs with a
 // warm/cold hint without perturbing the cache.
 func (c *Cache) Peek(key canon.Fingerprint) bool {
@@ -75,38 +74,6 @@ func (c *Cache) Peek(key canon.Fingerprint) bool {
 	}
 	_, err := c.disk.fsys.Stat(c.disk.path(key))
 	return err == nil
-}
-
-// DoBytes is Do for serialized results, with the on-disk store in the
-// lookup path: memory LRU, then disk (when enabled), then compute. A
-// disk hit is promoted into the memory LRU; a computed storable result
-// is written back to disk. The disk is best-effort — read and write
-// failures count in the stats and fall through to compute.
-//
-// check, when non-nil, validates bytes read from disk before they are
-// trusted: a corrupted or truncated entry (the store is plain files;
-// anything can happen to them) counts as a disk error, is deleted so
-// it cannot shadow the recomputation forever, and falls through to
-// compute. In-memory and just-computed bytes are not re-checked — the
-// process that produced them validated them by construction.
-func (c *Cache) DoBytes(key canon.Fingerprint, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
-	v, hit, err := c.Do(key, func() (Result, error) {
-		if data, ok := c.diskRead(key, check); ok {
-			return Result{V: data, Cost: int64(len(data)), Store: true}, nil
-		}
-		data, store, err := compute()
-		if err != nil {
-			return Result{}, err
-		}
-		if store {
-			c.diskWrite(key, data)
-		}
-		return Result{V: data, Cost: int64(len(data)), Store: store}, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.([]byte), hit, nil
 }
 
 // GetBytes fetches the bytes for key if they are already resident in
@@ -124,12 +91,11 @@ func (c *Cache) GetBytes(key canon.Fingerprint, check func([]byte) error) ([]byt
 		c.touch(e)
 		c.mu.Unlock()
 		c.scope.Counter("hits").Inc()
-		b, isBytes := e.val.([]byte)
-		return b, isBytes
+		return e.data, true
 	}
 	c.mu.Unlock()
 	if data, ok := c.diskRead(key, check); ok {
-		c.insert(key, data, int64(len(data)))
+		c.insert(key, data)
 		return data, true
 	}
 	return nil, false

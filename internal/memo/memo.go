@@ -8,14 +8,13 @@
 //
 // Three behaviours matter to correctness:
 //
-//   - Singleflight: concurrent Do calls with the same key run one
-//     compute; the rest wait and share the result. Under the parallel
-//     harness the four deg-* experiments race to derive the same
-//     degraded machine — with singleflight the derivation happens once.
+//   - Singleflight: concurrent DoBytes calls with the same key run one
+//     compute; the rest wait and share the result. Two p8d jobs that
+//     race on the same experiment report run the experiment once.
 //
 //   - Non-storable results never enter the cache and never satisfy
-//     waiters: a compute that reports Store=false (a FAILED report, a
-//     watchdog trip, a cancellation) returns its value to its own
+//     waiters: a compute that reports its bytes non-storable (a FAILED
+//     report, a watchdog trip, a cancellation) returns them to its own
 //     caller only, and every waiter retries with its own compute. A
 //     cancelled run therefore cannot poison the group — the other
 //     requests redo the work under their own budgets.
@@ -39,20 +38,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Result is what a compute callback hands back to Do.
-type Result struct {
-	// V is the computed value shared with waiters and stored in the
-	// LRU when Store is true.
-	V any
-	// Cost is the value's size in bytes charged against the cache
-	// budget; non-positive costs are charged as one byte.
-	Cost int64
-	// Store marks the result cacheable. FAILED, tripped or cancelled
-	// computations must set it false: the value is returned to the
-	// caller but never cached, and waiting duplicates recompute.
-	Store bool
-}
-
 // Cache is a byte-budgeted LRU keyed by canonical fingerprints. Use
 // New; the zero value is not ready.
 type Cache struct {
@@ -70,7 +55,7 @@ type Cache struct {
 
 type entry struct {
 	key        canon.Fingerprint
-	val        any
+	data       []byte
 	cost       int64
 	prev, next *entry
 }
@@ -78,7 +63,7 @@ type entry struct {
 // flight is one in-progress compute plus everyone waiting on it.
 type flight struct {
 	done chan struct{} // closed when the leader finishes or panics
-	val  any
+	data []byte
 	err  error
 	// ok marks a completed, storable result waiters may consume;
 	// false after a panic or a non-storable result, sending waiters
@@ -109,20 +94,32 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Do returns the cached value for key, or runs compute — once across
-// all concurrent callers of the same key — and caches its result when
-// Result.Store is true. The second return is true on a cache hit
-// (including a hit satisfied by another caller's in-flight compute).
-// Errors are returned to every caller of the generation that computed
-// them; they are never cached.
-func (c *Cache) Do(key canon.Fingerprint, compute func() (Result, error)) (any, bool, error) {
+// DoBytes returns the cached bytes for key, or computes them — once
+// across all concurrent callers of the same key. The lookup runs
+// through the memory LRU, then the on-disk store (when enabled), then
+// compute; compute reports whether its bytes are storable. A disk hit
+// is promoted into the memory LRU; a computed storable result is
+// stored in memory and written back to disk. The second return is true
+// on a memory hit (including one satisfied by another caller's
+// in-flight compute). Errors are returned to every caller of the
+// generation that computed them; they are never cached. The disk is
+// best-effort — read and write failures count in the stats and fall
+// through to compute.
+//
+// check, when non-nil, validates bytes read from disk before they are
+// trusted: a corrupted or truncated entry (the store is plain files;
+// anything can happen to them) counts as a disk error, is deleted so
+// it cannot shadow the recomputation forever, and falls through to
+// compute. In-memory and just-computed bytes are not re-checked — the
+// process that produced them validated them by construction.
+func (c *Cache) DoBytes(key canon.Fingerprint, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
 			c.touch(e)
 			c.mu.Unlock()
 			c.scope.Counter("hits").Inc()
-			return e.val, true, nil
+			return e.data, true, nil
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -132,7 +129,7 @@ func (c *Cache) Do(key canon.Fingerprint, compute func() (Result, error)) (any, 
 				return nil, false, f.err
 			}
 			if f.ok {
-				return f.val, true, nil
+				return f.data, true, nil
 			}
 			// The leader panicked or produced a non-storable result
 			// (failed / cancelled); recompute under our own flag.
@@ -143,14 +140,15 @@ func (c *Cache) Do(key canon.Fingerprint, compute func() (Result, error)) (any, 
 		c.mu.Unlock()
 
 		c.scope.Counter("misses").Inc()
-		return c.lead(key, f, compute)
+		return c.lead(key, f, check, compute)
 	}
 }
 
-// lead runs one compute as the key's flight leader and publishes the
-// outcome. On panic the flight is detached so waiters retry, then the
-// panic continues to the caller (the harness's isolation wrapper).
-func (c *Cache) lead(key canon.Fingerprint, f *flight, compute func() (Result, error)) (any, bool, error) {
+// lead runs one lookup-or-compute as the key's flight leader and
+// publishes the outcome. On panic the flight is detached so waiters
+// retry, then the panic continues to the caller (the harness's
+// isolation wrapper).
+func (c *Cache) lead(key canon.Fingerprint, f *flight, check func([]byte) error, compute func() ([]byte, bool, error)) ([]byte, bool, error) {
 	finished := false
 	defer func() {
 		c.mu.Lock()
@@ -161,22 +159,33 @@ func (c *Cache) lead(key canon.Fingerprint, f *flight, compute func() (Result, e
 		}
 	}()
 
-	res, err := compute()
+	// A disk hit is storable by construction; a miss computes.
+	data, store := c.diskRead(key, check)
+	var err error
+	if !store {
+		if data, store, err = compute(); err == nil && store {
+			c.diskWrite(key, data)
+		}
+	}
 	finished = true
-	f.val, f.err = res.V, err
-	f.ok = err == nil && res.Store
+	f.data, f.err = data, err
+	f.ok = err == nil && store
 	if f.ok {
-		c.insert(key, res.V, res.Cost)
+		c.insert(key, data)
 	}
 	close(f.done)
-	return res.V, false, err
+	if err != nil {
+		return nil, false, err
+	}
+	return data, false, nil
 }
 
-// insert stores a computed value and evicts from the LRU tail until
-// the budget holds. A value costlier than the whole budget is not
-// stored at all — evicting the entire cache to hold one entry would
-// thrash.
-func (c *Cache) insert(key canon.Fingerprint, val any, cost int64) {
+// insert stores computed bytes and evicts from the LRU tail until the
+// budget holds. Each entry costs its length, and an empty one a byte.
+// An entry costlier than the whole budget is not stored at all —
+// evicting the entire cache to hold one entry would thrash.
+func (c *Cache) insert(key canon.Fingerprint, data []byte) {
+	cost := int64(len(data))
 	if cost <= 0 {
 		cost = 1
 	}
@@ -192,7 +201,7 @@ func (c *Cache) insert(key canon.Fingerprint, val any, cost int64) {
 		c.mu.Unlock()
 		return
 	}
-	e := &entry{key: key, val: val, cost: cost}
+	e := &entry{key: key, data: data, cost: cost}
 	c.entries[key] = e
 	c.pushFront(e)
 	c.bytes += cost

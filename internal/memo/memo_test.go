@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"sync"
@@ -17,24 +18,26 @@ func key(b byte) canon.Fingerprint {
 	return f
 }
 
-func storable(v any, cost int64) func() (Result, error) {
-	return func() (Result, error) { return Result{V: v, Cost: cost, Store: true}, nil }
+// storable returns a compute of n storable bytes, each b: the entry
+// costs n bytes against the budget.
+func storable(b byte, n int) func() ([]byte, bool, error) {
+	return func() ([]byte, bool, error) { return bytes.Repeat([]byte{b}, n), true, nil }
 }
 
 func TestHitMiss(t *testing.T) {
 	c := New("t", 0, nil)
 	calls := 0
-	compute := func() (Result, error) {
+	compute := func() ([]byte, bool, error) {
 		calls++
-		return Result{V: "v", Cost: 1, Store: true}, nil
+		return []byte("v"), true, nil
 	}
-	v, hit, err := c.Do(key(1), compute)
-	if err != nil || hit || v != "v" {
-		t.Fatalf("first Do = (%v, %v, %v), want (v, false, nil)", v, hit, err)
+	v, hit, err := c.DoBytes(key(1), nil, compute)
+	if err != nil || hit || string(v) != "v" {
+		t.Fatalf("first DoBytes = (%q, %v, %v), want (v, false, nil)", v, hit, err)
 	}
-	v, hit, err = c.Do(key(1), compute)
-	if err != nil || !hit || v != "v" {
-		t.Fatalf("second Do = (%v, %v, %v), want (v, true, nil)", v, hit, err)
+	v, hit, err = c.DoBytes(key(1), nil, compute)
+	if err != nil || !hit || string(v) != "v" {
+		t.Fatalf("second DoBytes = (%q, %v, %v), want (v, true, nil)", v, hit, err)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
@@ -44,23 +47,23 @@ func TestHitMiss(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := New("t", 0, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.Do(key(1), func() (Result, error) { return Result{}, boom }); err != boom {
+	if _, _, err := c.DoBytes(key(1), nil, func() ([]byte, bool, error) { return nil, false, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("error result was cached (%d entries)", c.Len())
 	}
 	// The key is computable again after the failure.
-	if v, _, err := c.Do(key(1), storable("ok", 1)); err != nil || v != "ok" {
-		t.Fatalf("retry after error = (%v, %v)", v, err)
+	if v, _, err := c.DoBytes(key(1), nil, storable('k', 2)); err != nil || string(v) != "kk" {
+		t.Fatalf("retry after error = (%q, %v)", v, err)
 	}
 }
 
 func TestNonStorableNotCached(t *testing.T) {
 	c := New("t", 0, nil)
-	v, hit, err := c.Do(key(1), func() (Result, error) { return Result{V: "failed", Store: false}, nil })
-	if err != nil || hit || v != "failed" {
-		t.Fatalf("Do = (%v, %v, %v), want the non-storable value back", v, hit, err)
+	v, hit, err := c.DoBytes(key(1), nil, func() ([]byte, bool, error) { return []byte("failed"), false, nil })
+	if err != nil || hit || string(v) != "failed" {
+		t.Fatalf("DoBytes = (%q, %v, %v), want the non-storable bytes back", v, hit, err)
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("non-storable result entered the cache (%d entries, %d bytes)", c.Len(), c.Bytes())
@@ -72,24 +75,24 @@ func TestNonStorableNotCached(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New("t", 10, nil)
 	for b := byte(1); b <= 2; b++ {
-		c.Do(key(b), storable(int(b), 4))
+		c.DoBytes(key(b), nil, storable(b, 4))
 	}
 	// Touch key 1 so key 2 is now least recently used.
-	if _, hit, _ := c.Do(key(1), storable(0, 4)); !hit {
+	if _, hit, _ := c.DoBytes(key(1), nil, storable(0, 4)); !hit {
 		t.Fatal("expected hit on key 1")
 	}
 	// 4+4+4 > 10: inserting key 3 must evict key 2 (LRU), not key 1.
-	c.Do(key(3), storable(3, 4))
-	if _, hit, _ := c.Do(key(1), storable(-1, 4)); !hit {
+	c.DoBytes(key(3), nil, storable(3, 4))
+	if _, hit, _ := c.DoBytes(key(1), nil, storable(0, 4)); !hit {
 		t.Error("recently used key 1 was evicted")
 	}
-	if _, hit, _ := c.Do(key(3), storable(-1, 4)); !hit {
+	if _, hit, _ := c.DoBytes(key(3), nil, storable(0, 4)); !hit {
 		t.Error("just-inserted key 3 was evicted")
 	}
 	recomputed := false
-	c.Do(key(2), func() (Result, error) {
+	c.DoBytes(key(2), nil, func() ([]byte, bool, error) {
 		recomputed = true
-		return Result{V: 2, Cost: 4, Store: true}, nil
+		return []byte("2222"), true, nil
 	})
 	if !recomputed {
 		t.Error("LRU key 2 was not evicted")
@@ -101,21 +104,21 @@ func TestLRUEviction(t *testing.T) {
 
 func TestOversizeSkipped(t *testing.T) {
 	c := New("t", 10, nil)
-	c.Do(key(1), storable("small", 4))
-	c.Do(key(2), storable("huge", 11))
+	c.DoBytes(key(1), nil, storable('s', 4))
+	c.DoBytes(key(2), nil, storable('h', 11))
 	if c.Len() != 1 {
 		t.Fatalf("oversize entry was stored (%d entries)", c.Len())
 	}
-	if _, hit, _ := c.Do(key(1), storable(nil, 4)); !hit {
+	if _, hit, _ := c.DoBytes(key(1), nil, storable(0, 4)); !hit {
 		t.Error("storing an oversize value evicted the resident cache")
 	}
 }
 
 func TestZeroCostCharged(t *testing.T) {
 	c := New("t", 0, nil)
-	c.Do(key(1), storable("v", 0))
+	c.DoBytes(key(1), nil, storable('v', 0))
 	if c.Bytes() != 1 {
-		t.Fatalf("zero-cost entry charged %d bytes, want 1", c.Bytes())
+		t.Fatalf("empty entry charged %d bytes, want 1", c.Bytes())
 	}
 }
 
@@ -132,12 +135,12 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.Do(key(1), func() (Result, error) {
+			v, _, err := c.DoBytes(key(1), nil, func() ([]byte, bool, error) {
 				calls.Add(1)
 				<-gate // hold the flight open until all callers arrived
-				return Result{V: "shared", Cost: 1, Store: true}, nil
+				return []byte("shared"), true, nil
 			})
-			if err != nil || v != "shared" {
+			if err != nil || string(v) != "shared" {
 				errs <- errors.New("wrong value from singleflight")
 			}
 		}()
@@ -180,28 +183,28 @@ func TestNonStorableDoesNotPoisonWaiters(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		v, _, _ := c.Do(key(1), func() (Result, error) {
+		v, _, _ := c.DoBytes(key(1), nil, func() ([]byte, bool, error) {
 			close(leaderIn)
 			<-leaderGo
 			leaderDone.Store(true)
-			return Result{V: "cancelled", Store: false}, nil
+			return []byte("cancelled"), false, nil
 		})
-		if v != "cancelled" {
-			t.Errorf("leader got %v, want its own cancelled value", v)
+		if string(v) != "cancelled" {
+			t.Errorf("leader got %q, want its own cancelled bytes", v)
 		}
 	}()
 	<-leaderIn // the next Do is guaranteed to join as a waiter
 	go func() {
 		defer wg.Done()
-		v, _, err := c.Do(key(1), func() (Result, error) {
+		v, _, err := c.DoBytes(key(1), nil, func() ([]byte, bool, error) {
 			if !leaderDone.Load() {
 				t.Error("waiter recomputed before the leader finished")
 			}
 			waiterRan.Store(true)
-			return Result{V: "fresh", Cost: 1, Store: true}, nil
+			return []byte("fresh"), true, nil
 		})
-		if err != nil || v != "fresh" {
-			t.Errorf("waiter got (%v, %v), want its own fresh value", v, err)
+		if err != nil || string(v) != "fresh" {
+			t.Errorf("waiter got (%q, %v), want its own fresh bytes", v, err)
 		}
 	}()
 	// Release the leader only once the duplicate has parked on the
@@ -233,7 +236,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 				t.Error("leader panic did not propagate")
 			}
 		}()
-		c.Do(key(1), func() (Result, error) {
+		c.DoBytes(key(1), nil, func() ([]byte, bool, error) {
 			close(leaderIn)
 			<-leaderGo
 			panic("leader died")
@@ -242,11 +245,11 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	<-leaderIn
 	go func() {
 		defer wg.Done()
-		v, _, err := c.Do(key(1), func() (Result, error) {
-			return Result{V: "recovered", Cost: 1, Store: true}, nil
+		v, _, err := c.DoBytes(key(1), nil, func() ([]byte, bool, error) {
+			return []byte("recovered"), true, nil
 		})
-		if err != nil || v != "recovered" {
-			t.Errorf("waiter after panic got (%v, %v)", v, err)
+		if err != nil || string(v) != "recovered" {
+			t.Errorf("waiter after panic got (%q, %v)", v, err)
 		}
 	}()
 	for waits(reg, "t") == 0 {
@@ -260,10 +263,10 @@ func TestPanicReleasesWaiters(t *testing.T) {
 func TestCounters(t *testing.T) {
 	reg := obs.NewRegistry("test")
 	c := New("reports", 8, reg)
-	c.Do(key(1), storable("a", 4)) // miss + store
-	c.Do(key(1), storable("a", 4)) // hit
-	c.Do(key(2), storable("b", 8)) // miss + store + evict key 1
-	c.Do(key(3), func() (Result, error) { return Result{V: "x", Store: false}, nil })
+	c.DoBytes(key(1), nil, storable('a', 4)) // miss + store
+	c.DoBytes(key(1), nil, storable('a', 4)) // hit
+	c.DoBytes(key(2), nil, storable('b', 8)) // miss + store + evict key 1
+	c.DoBytes(key(3), nil, func() ([]byte, bool, error) { return []byte("x"), false, nil })
 
 	snap := reg.Child("memo").Child("reports").Snapshot()
 	want := map[string]uint64{"hits": 1, "misses": 3, "stores": 2, "evictions": 1}

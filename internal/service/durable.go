@@ -7,6 +7,7 @@ import (
 	power8 "repro"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/runreq"
 )
 
 // This file is the durability layer of the service: the write-ahead
@@ -35,7 +36,7 @@ type RecoverySummary struct {
 	// from the result cache without recomputation.
 	Done int
 	// Dropped jobs could not be reconstructed: their request no longer
-	// normalizes, or its fingerprint changed (a catalog or calibration
+	// resolves, or its fingerprint changed (a catalog or calibration
 	// change invalidated the cached results). They are compacted away.
 	Dropped int
 }
@@ -57,7 +58,7 @@ func (s *Service) Recover(records []journal.Record) RecoverySummary {
 	var sum RecoverySummary
 	states := journal.Reduce(records)
 
-	// Reconstruction happens before the service lock: normalize and
+	// Reconstruction happens before the service lock: resolving and
 	// fingerprinting read only immutable catalog state.
 	type recovered struct {
 		job *Job
@@ -145,8 +146,8 @@ func (s *Service) Recover(records []journal.Record) RecoverySummary {
 }
 
 // rebuildJob reconstructs one job from its reduced journal state. ok is
-// false when the request no longer normalizes against this binary's
-// catalog, or normalizes to a different fingerprint — either way the
+// false when the request no longer resolves against this binary's
+// catalog, or resolves to a different fingerprint — either way the
 // cached results the log points at are not the results this binary
 // would produce, so the job is dropped rather than resurrected wrong.
 func (s *Service) rebuildJob(js *journal.JobState) (*Job, bool) {
@@ -154,25 +155,23 @@ func (s *Service) rebuildJob(js *journal.JobState) (*Job, bool) {
 	if err := json.Unmarshal(js.Request, &req); err != nil {
 		return nil, false
 	}
-	req, m, exps, plan, err := normalize(req, s.machines)
+	run, err := runreq.Resolve(req, s.machines)
 	if err != nil {
 		return nil, false
 	}
-	fp := fingerprintJob(req, m, plan)
+	fp := fingerprintJob(run)
 	if fp != js.Fingerprint {
 		return nil, false
 	}
+	n := len(run.Experiments)
 	job := &Job{
 		ID:          js.ID,
 		Fingerprint: fp,
-		req:         req,
-		m:           m,
-		exps:        exps,
-		plan:        plan,
+		run:         run,
 		recovered:   true,
-		reports:     make([]*power8.Report, len(exps)),
-		cached:      make([]bool, len(exps)),
-		warmHint:    make([]bool, len(exps)),
+		reports:     make([]*power8.Report, n),
+		cached:      make([]bool, n),
+		warmHint:    make([]bool, n),
 		changed:     make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -181,7 +180,7 @@ func (s *Service) rebuildJob(js *journal.JobState) (*Job, bool) {
 	switch {
 	case js.Done:
 		job.state = Done
-		job.completed = len(exps)
+		job.completed = n
 		for idx, fromCache := range js.Reports {
 			if int(idx) < len(job.cached) {
 				job.cached[idx] = fromCache
@@ -239,13 +238,13 @@ func (s *Service) journalAppend(r journal.Record) {
 // results are gone and the client must resubmit. On success the loaded
 // reports are installed on the job, so later fetches are memory hits.
 func (s *Service) loadRecoveredReports(job *Job) ([]*power8.Report, bool) {
-	if s.opts.Cache == nil || job.req.Stats {
+	if s.opts.Cache == nil || job.run.Request.Stats {
 		return nil, false
 	}
 	opts := s.runOptions(job)
-	reports := make([]*power8.Report, len(job.exps))
-	for i, e := range job.exps {
-		rep, ok := s.opts.Cache.LoadReport(e, job.m, opts)
+	reports := make([]*power8.Report, len(job.run.Experiments))
+	for i, e := range job.run.Experiments {
+		rep, ok := s.opts.Cache.LoadReport(e, job.run.Machine, opts)
 		if !ok {
 			s.scope.Counter("recovered_reports_missing").Inc()
 			return nil, false

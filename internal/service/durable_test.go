@@ -11,6 +11,7 @@ import (
 	power8 "repro"
 	"repro/internal/iofault"
 	"repro/internal/journal"
+	"repro/internal/runreq"
 )
 
 // openTestJournal opens a journal over an in-memory filesystem.
@@ -122,12 +123,12 @@ func TestRecoverInterruptsMidRunJobs(t *testing.T) {
 	// Forge the crashed process's log: admitted and started, never done.
 	req, _ := json.Marshal(Request{Spec: "e870", Suite: "paper", Experiments: []string{"table3"}, Quick: true})
 	probe := New(Options{})
-	nreq, m, _, plan, err := normalize(Request{Experiments: []string{"table3"}, Quick: true}, probe.machines)
+	run, err := runreq.Resolve(Request{Experiments: []string{"table3"}, Quick: true}, probe.machines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ = json.Marshal(nreq)
-	fp := fingerprintJob(nreq, m, plan)
+	req, _ = json.Marshal(run.Request)
+	fp := fingerprintJob(run)
 	id := jobID(7, fp)
 	for _, r := range []journal.Record{
 		{Kind: journal.KindSubmitted, JobID: id, Seq: 7, Fingerprint: fp, Request: req},
@@ -244,12 +245,12 @@ func TestRecoverRequeuesUnstartedJobs(t *testing.T) {
 	mem := iofault.NewMem()
 	jnl, _ := openTestJournal(t, mem)
 	probe := New(Options{})
-	nreq, m, _, plan, err := normalize(Request{Experiments: []string{"table3"}, Quick: true}, probe.machines)
+	run, err := runreq.Resolve(Request{Experiments: []string{"table3"}, Quick: true}, probe.machines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(nreq)
-	fp := fingerprintJob(nreq, m, plan)
+	req, _ := json.Marshal(run.Request)
+	fp := fingerprintJob(run)
 	id := jobID(3, fp)
 	if err := jnl.Append(journal.Record{Kind: journal.KindSubmitted, JobID: id, Seq: 3, Fingerprint: fp, Request: req}); err != nil {
 		t.Fatal(err)
@@ -309,12 +310,12 @@ func TestRecoverEvictedReportsGone(t *testing.T) {
 	mem := iofault.NewMem()
 	jnl, _ := openTestJournal(t, mem)
 	probe := New(Options{})
-	nreq, m, _, plan, err := normalize(Request{Experiments: []string{"table3"}, Quick: true}, probe.machines)
+	run, err := runreq.Resolve(Request{Experiments: []string{"table3"}, Quick: true}, probe.machines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(nreq)
-	fp := fingerprintJob(nreq, m, plan)
+	req, _ := json.Marshal(run.Request)
+	fp := fingerprintJob(run)
 	id := jobID(1, fp)
 	for _, r := range []journal.Record{
 		{Kind: journal.KindSubmitted, JobID: id, Seq: 1, Fingerprint: fp, Request: req},

@@ -11,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/runreq"
 )
 
 // This file is the HTTP surface of p8d. Every endpoint, schema and
@@ -74,9 +75,9 @@ func (j *Job) view() jobView {
 		ID:          j.ID,
 		Fingerprint: j.Fingerprint.String(),
 		State:       j.state,
-		Request:     j.req,
+		Request:     j.run.Request,
 		Completed:   j.completed,
-		Total:       len(j.exps),
+		Total:       len(j.run.Experiments),
 		CacheHits:   hits,
 		CacheMisses: misses,
 		WarmHint:    j.warmHint,
@@ -184,8 +185,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.Submit(req)
 	if err != nil {
 		switch e := err.(type) {
-		case *badRequest:
-			writeErr(w, http.StatusBadRequest, e.msg)
+		case *runreq.Error:
+			msg := e.Error()
+			if e.Kind == runreq.UnknownExperiment {
+				msg += " (try GET /v1/catalog)"
+			}
+			writeErr(w, http.StatusBadRequest, msg)
 		case *submitErr:
 			if e.code == http.StatusTooManyRequests {
 				w.Header().Set("Retry-After", "1")
@@ -404,7 +409,7 @@ type catalogExperiment struct {
 // handleCatalog is GET /v1/catalog.
 func (s *Service) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	cat := catalogView{
-		Specs:            SpecNames(),
+		Specs:            runreq.SpecNames(),
 		CannedFaultPlans: fault.CannedNames(),
 	}
 	for _, name := range experiments.SuiteNames() {

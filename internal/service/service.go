@@ -6,8 +6,9 @@
 //
 // The moving parts, front to back:
 //
-//   - Admission: POST /v1/jobs validates a Request against the machine
-//     catalog and the fault grammar (400 with the validator's message),
+//   - Admission: POST /v1/jobs resolves a Request through runreq
+//     against the machine catalog and the fault grammar (400 with the
+//     resolver's message),
 //     then tries a non-blocking push into a bounded queue — a full
 //     queue answers 429 immediately rather than holding the connection
 //     hostage (admission control, not backpressure-by-timeout).
@@ -37,6 +38,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/runreq"
 )
 
 // Options configures a Service. The zero value is usable: a 16-deep
@@ -98,13 +100,9 @@ func New(opts Options) *Service {
 	if opts.WaitLimit <= 0 {
 		opts.WaitLimit = 60 * time.Second
 	}
-	machines := make(map[string]*machine.Machine, len(jobSpecs))
-	for _, s := range jobSpecs {
-		machines[s.name] = machine.New(s.build())
-	}
 	return &Service{
 		opts:     opts,
-		machines: machines,
+		machines: runreq.Machines(),
 		scope:    opts.Stats.Child("p8d"),
 		queue:    make(chan *Job, opts.QueueDepth),
 		jobs:     map[string]*Job{},
@@ -162,23 +160,21 @@ func (e *submitErr) Error() string { return e.msg }
 
 // Submit validates, fingerprints and admits one request. On success
 // the job is queued and indexed; the error cases are typed for the
-// HTTP layer: *badRequest (400), queue full (429), draining (503).
+// HTTP layer: *runreq.Error (400), queue full (429), draining (503).
 func (s *Service) Submit(req Request) (*Job, error) {
-	req, m, exps, plan, err := normalize(req, s.machines)
+	run, err := runreq.Resolve(req, s.machines)
 	if err != nil {
 		s.scope.Counter("jobs_rejected_invalid").Inc()
 		return nil, err
 	}
+	req, n := run.Request, len(run.Experiments)
 	job := &Job{
-		Fingerprint: fingerprintJob(req, m, plan),
-		req:         req,
-		m:           m,
-		exps:        exps,
-		plan:        plan,
+		Fingerprint: fingerprintJob(run),
+		run:         run,
 		state:       Queued,
-		reports:     make([]*power8.Report, len(exps)),
-		cached:      make([]bool, len(exps)),
-		warmHint:    make([]bool, len(exps)),
+		reports:     make([]*power8.Report, n),
+		cached:      make([]bool, n),
+		warmHint:    make([]bool, n),
 		submitted:   time.Now(),
 		changed:     make(chan struct{}),
 		done:        make(chan struct{}),
@@ -194,13 +190,13 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	// stays all-cold.
 	if s.opts.Cache != nil && !req.Stats {
 		opts := s.runOptions(job)
-		for i, e := range exps {
-			job.warmHint[i] = s.opts.Cache.ProbeReport(e, m, opts)
+		for i, e := range run.Experiments {
+			job.warmHint[i] = s.opts.Cache.ProbeReport(e, run.Machine, opts)
 		}
 	}
 
 	// The journal's Submitted record carries the normalized request, so
-	// a restarted process re-normalizes to the identical job.
+	// a restarted process re-resolves it to the identical job.
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -286,10 +282,10 @@ func (s *Service) worker() {
 // wall-time knobs.
 func (s *Service) runOptions(job *Job) power8.RunOptions {
 	return power8.RunOptions{
-		Quick:   job.req.Quick,
-		Workers: job.req.Workers,
-		Faults:  job.plan,
-		Shards:  job.req.Shards,
+		Quick:   job.run.Request.Quick,
+		Workers: job.run.Request.Workers,
+		Faults:  job.run.Plan,
+		Shards:  job.run.Request.Shards,
 		Stats:   job.reg,
 		Cache:   s.opts.Cache,
 	}
@@ -315,7 +311,7 @@ func (s *Service) runJob(job *Job) {
 		s.journalAppend(journal.Record{Kind: journal.KindReport, JobID: job.ID, Index: uint32(i), FromCache: fromCache})
 		job.record(i, rep, fromCache)
 	}
-	reports := power8.RunSuite(job.exps, job.m, opts)
+	reports := power8.RunSuite(job.run.Experiments, job.run.Machine, opts)
 	// Done hits the log before the done channel closes: once a client
 	// sees "done", a restart will too (the reports themselves were
 	// persisted by the disk cache as they were computed).

@@ -14,7 +14,9 @@
 //     initializers run at start-up);
 //   - methods that implement an interface of the standard library
 //     (fmt.Stringer, error, http.Handler, sort.Interface, ...), since
-//     the standard library may call them through it;
+//     the standard library may call them through it — but only once
+//     their receiver type is used in reached code: a value the program
+//     never makes or handles cannot reach the standard library;
 //   - every function or method a _test.go file of another package
 //     refers to: cross-package test support such as fault-injecting
 //     filesystems cannot live in a _test.go file of its own package.
@@ -22,7 +24,10 @@
 // An edge runs from a function to every function its body refers to,
 // called or used as a value (func literals count as their encloser's
 // body); a reference to an interface method reaches every method of
-// the load set that may implement it.
+// the load set that may implement it. A type is used where a reached
+// body or a package-level declaration has an expression of that type,
+// or of a type built from it (a pointer, slice, array, map or channel
+// of it, or a struct or named type with it inside).
 //
 // The analysis is whole-program: it assumes the load set is the whole
 // module (p8lint's default ./...). Over a subset, code reached only
@@ -48,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.ProgramPass) error {
 	prog := pass.Prog
 	g := prog.Graph()
-	r := &reacher{g: g, seen: map[*analysis.FuncNode]bool{}}
+	r := &reacher{g: g, seen: map[*analysis.FuncNode]bool{}, used: map[types.Type]bool{}}
 
 	inProgram := map[*types.Package]bool{}
 	for _, pkg := range prog.Pkgs {
@@ -63,7 +68,7 @@ func run(pass *analysis.ProgramPass) error {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				if _, ok := d.(*ast.FuncDecl); !ok {
-					eachRef(pkg.Info, d, r.ref)
+					r.scan(pkg.Info, d)
 				}
 			}
 		}
@@ -81,8 +86,20 @@ func run(pass *analysis.ProgramPass) error {
 			}
 		}
 	}
+	// A stdlib-interface method is a root once its receiver type is
+	// used; visiting one may use more types, so iterate to a fixpoint.
+	var pending []*analysis.FuncNode
 	for _, m := range stdlibInterfaceMethods(prog, inProgram) {
-		r.ref(m)
+		pending = append(pending, g.Implementations(m)...)
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, node := range pending {
+			if !r.seen[node] && r.used[receiver(node)] {
+				r.visit(node)
+				grew = true
+			}
+		}
 	}
 
 	for _, node := range g.Sorted {
@@ -121,10 +138,12 @@ func isInternal(path string) bool {
 	return false
 }
 
-// A reacher marks the nodes reachable from the roots it is given.
+// A reacher marks the nodes reachable from the roots it is given, and
+// the named types their code uses.
 type reacher struct {
 	g    *analysis.CallGraph
 	seen map[*analysis.FuncNode]bool
+	used map[types.Type]bool
 }
 
 // ref marks what a reference to fn reaches: its node, or every
@@ -160,7 +179,57 @@ func (r *reacher) visit(node *analysis.FuncNode) {
 		return
 	}
 	r.seen[node] = true
-	eachRef(node.Pkg.Info, node.Decl.Body, r.ref)
+	r.scan(node.Pkg.Info, node.Decl.Body)
+}
+
+// scan follows the function references in n and marks the types its
+// expressions use.
+func (r *reacher) scan(info *types.Info, n ast.Node) {
+	eachRef(info, n, r.ref)
+	eachType(info, n, r.useType)
+}
+
+// useType marks t used, with every type it is built from.
+func (r *reacher) useType(t types.Type) {
+	if r.used[t] {
+		return
+	}
+	r.used[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		r.useType(t.Origin())
+		r.useType(t.Underlying())
+	case *types.Map:
+		r.useType(t.Key())
+		r.useType(t.Elem())
+	case interface{ Elem() types.Type }: // pointer, slice, array, channel
+		r.useType(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			r.useType(t.Field(i).Type())
+		}
+	}
+}
+
+// eachType calls f with the type of every expression in n.
+func eachType(info *types.Info, n ast.Node, f func(types.Type)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if e, ok := n.(ast.Expr); ok {
+			if tv, ok := info.Types[e]; ok && tv.Type != nil {
+				f(tv.Type)
+			}
+		}
+		return true
+	})
+}
+
+// receiver returns the named type a method is declared on.
+func receiver(node *analysis.FuncNode) types.Type {
+	t := node.Func.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Origin()
 }
 
 // stdlibInterfaceMethods returns the methods of every non-empty

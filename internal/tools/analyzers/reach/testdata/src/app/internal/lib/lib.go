@@ -34,16 +34,17 @@ func NewSquare(side int) *Square { return &Square{side} }
 // Area is reached through the Shape dispatch.
 func (s *Square) Area() int { return s.side * s.side }
 
-// String is reached because it implements fmt.Stringer: the standard
-// library may call it through the interface.
+// String is reached because it implements fmt.Stringer and main uses a
+// Square: the standard library may call it through the interface.
 func (s *Square) String() string { return "square" }
 
-// Handler is never called in the program, but ServeHTTP implements
-// http.Handler.
+// Handler's ServeHTTP implements http.Handler, but no reached code
+// makes or handles a Handler, so the standard library can never call
+// it.
 type Handler struct{}
 
 // ServeHTTP implements http.Handler.
-func (Handler) ServeHTTP(http.ResponseWriter, *http.Request) {}
+func (Handler) ServeHTTP(http.ResponseWriter, *http.Request) {} // want `lib.Handler.ServeHTTP is unreachable`
 
 // Dead has no caller at all.
 func Dead() {} // want `lib.Dead is unreachable: no main, init, exported API, function value, stdlib interface or other package's test reaches it`

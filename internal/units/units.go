@@ -1,7 +1,7 @@
 // Package units provides typed quantities and formatting helpers used
-// throughout the POWER8 machine model: byte sizes, bandwidths, times and
+// throughout the POWER8 machine model: byte sizes, bandwidths and
 // rates. Keeping these as distinct types catches unit mix-ups (GB vs GiB,
-// GB/s vs ns) at compile time in the model code.
+// bytes vs GB/s) at compile time in the model code.
 package units
 
 import "fmt"
@@ -58,24 +58,6 @@ func (bw Bandwidth) GBps() float64 { return float64(bw) / 1e9 }
 
 // String formats the bandwidth in GB/s with one decimal.
 func (bw Bandwidth) String() string { return fmt.Sprintf("%.1f GB/s", bw.GBps()) }
-
-// Duration is simulated time in nanoseconds, stored as a float to allow
-// sub-nanosecond cycle arithmetic at multi-GHz clocks.
-type Duration float64
-
-// String formats a duration with an adaptive unit.
-func (d Duration) String() string {
-	switch {
-	case d >= 1e9:
-		return fmt.Sprintf("%.3f s", float64(d)/1e9)
-	case d >= 1e6:
-		return fmt.Sprintf("%.3f ms", float64(d)/1e6)
-	case d >= 1e3:
-		return fmt.Sprintf("%.3f us", float64(d)/1e3)
-	default:
-		return fmt.Sprintf("%.2f ns", float64(d))
-	}
-}
 
 // Rate is a compute throughput in FLOP/s.
 type Rate float64

@@ -34,23 +34,6 @@ func TestBandwidth(t *testing.T) {
 	}
 }
 
-func TestDuration(t *testing.T) {
-	cases := []struct {
-		in   Duration
-		want string
-	}{
-		{Duration(95), "95.00 ns"},
-		{Duration(1500), "1.500 us"},
-		{Duration(2.5e6), "2.500 ms"},
-		{Duration(3e9), "3.000 s"},
-	}
-	for _, c := range cases {
-		if got := c.in.String(); got != c.want {
-			t.Errorf("Duration(%v).String() = %q, want %q", float64(c.in), got, c.want)
-		}
-	}
-}
-
 func TestRate(t *testing.T) {
 	r := Rate(2227.2e9)
 	if got := r.GFs(); got != 2227.2 {
