@@ -21,15 +21,15 @@ type CacheOptions struct {
 }
 
 // SuiteCache memoizes whole experiment Reports, keyed by machine
-// fingerprint, experiment id, quick mode, fault plan and the
-// kernel-runtime knobs. It rests on the repo's determinism contract:
+// fingerprint, experiment id, quick mode, fault plan and the kernel
+// worker-team size. It rests on the repo's determinism contract:
 // every engine result is a pure function of its fingerprinted inputs,
 // so a warm lookup and a recomputation are the same bits. One
 // SuiteCache is safe for concurrent use and may be shared across
 // RunSuite calls; that sharing is the point.
 //
-// What is never cached: FAILED reports (panics, watchdog trips,
-// cancellations — failure is circumstance, not content), and any
+// What is never cached: FAILED reports (panics, watchdog trips —
+// failure is circumstance, not content), and any
 // report from an instrumented run (RunOptions.Stats non-nil), because
 // counters describe the execution that actually happened and a replay
 // would attribute stale counters to a run that did no work.
@@ -76,27 +76,52 @@ func (sc *SuiteCache) Reports() *memo.Cache {
 // (experiments are independent) and the event budget (a budget either
 // trips — FAILED, never cached — or changes nothing).
 func requestKey(m *Machine, e Experiment, opts RunOptions) canon.Fingerprint {
-	h := canon.NewHasher("power8/request/v1")
+	h := canon.NewHasher("power8/request/v2")
 	h.Fp(canon.Machine(m))
 	h.Str(e.ID)
 	h.Bool(opts.Quick)
 	opts.Faults.AppendCanon(h)
-	// The kernel-runtime knobs reach host-measured kernel behaviour
-	// (team width and dynamic grain), so runs under different knobs
-	// must not satisfy one another.
+	// The kernel worker-team size reaches host-measured kernel
+	// behaviour, so runs under different team sizes must not satisfy
+	// one another.
 	h.Int(parallel.Workers(0))
-	h.Int(parallel.GrainFactor())
 	return h.Sum()
 }
 
-// checkReportBytes validates a disk-read cache entry before it is
-// trusted: it must be well-formed JSON (a truncated write or a
-// corrupted file is not). Decoding proper happens at the use site.
-func checkReportBytes(data []byte) error {
-	if !json.Valid(data) {
-		return fmt.Errorf("power8: cached report is not valid JSON (%d bytes)", len(data))
+// reportEntry reads one experiment's cache entry. Its check validates
+// bytes read from disk before they are trusted: they must decode to a
+// completed (non-FAILED) report of that experiment. A truncated write,
+// a corrupted file or a stray valid document ({}, null, another
+// experiment's report) is not, and the cache deletes it. The decoded
+// report is kept, so a disk hit is decoded once.
+type reportEntry struct {
+	id  string
+	rep *Report
+}
+
+func (r *reportEntry) check(data []byte) error {
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return fmt.Errorf("power8: cached report does not decode (%d bytes): %v", len(data), err)
 	}
+	if rep.ID != r.id || rep.Failed() {
+		return fmt.Errorf("power8: cached entry for %s holds report %q (failed %v)", r.id, rep.ID, rep.Failed())
+	}
+	r.rep = &rep
 	return nil
+}
+
+// decode returns the report data holds: the one check decoded from
+// disk, else a decode of bytes the cache held in memory.
+func (r *reportEntry) decode(data []byte) (*Report, error) {
+	if r.rep != nil {
+		return r.rep, nil
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // ProbeReport reports whether a completed report for experiment e on
@@ -126,15 +151,13 @@ func (sc *SuiteCache) LoadReport(e Experiment, m *Machine, opts RunOptions) (*Re
 	if sc == nil {
 		return nil, false
 	}
-	data, ok := sc.reports.GetBytes(requestKey(m, e, opts), checkReportBytes)
+	entry := reportEntry{id: e.ID}
+	data, ok := sc.reports.GetBytes(requestKey(m, e, opts), entry.check)
 	if !ok {
 		return nil, false
 	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, false
-	}
-	return &rep, true
+	rep, err := entry.decode(data)
+	return rep, err == nil
 }
 
 // lookupOrRun serves one experiment through the report cache:
@@ -143,15 +166,16 @@ func (sc *SuiteCache) LoadReport(e Experiment, m *Machine, opts RunOptions) (*Re
 // racing on the same suite — run the experiment once). A report that
 // failed is returned but never stored, and never satisfies a waiting
 // duplicate: the duplicate reruns under its own budget, so one
-// cancelled run cannot poison the group. Any cache-layer error falls
+// tripped run cannot poison the group. Any cache-layer error falls
 // back to a direct run — the cache is an accelerator, not a
 // dependency. The second return reports whether the cache supplied the
 // report (memory, disk, or another caller's in-flight compute) rather
 // than this caller running the experiment itself.
 func (sc *SuiteCache) lookupOrRun(e Experiment, m *Machine, opts RunOptions, run func() *Report) (*Report, bool) {
 	key := requestKey(m, e, opts)
+	entry := reportEntry{id: e.ID}
 	var computed *Report
-	data, _, err := sc.reports.DoBytes(key, checkReportBytes, func() ([]byte, bool, error) {
+	data, _, err := sc.reports.DoBytes(key, entry.check, func() ([]byte, bool, error) {
 		rep := run()
 		computed = rep
 		buf, err := json.Marshal(rep)
@@ -170,9 +194,9 @@ func (sc *SuiteCache) lookupOrRun(e Experiment, m *Machine, opts RunOptions, run
 	if err != nil {
 		return run(), false
 	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
+	rep, err := entry.decode(data)
+	if err != nil {
 		return run(), false
 	}
-	return &rep, true
+	return rep, true
 }

@@ -1,18 +1,24 @@
 package power8
 
 // Tests for content-addressed result memoization: warm runs serve
-// bit-identical reports without re-executing, FAILED / tripped /
-// cancelled reports never enter the cache, instrumented runs bypass
-// report reuse, and the request key honours its inclusion contract.
+// bit-identical reports without re-executing, FAILED / tripped reports
+// never enter the cache, instrumented runs bypass report reuse, a disk
+// entry that is not a completed report of its experiment is deleted
+// and recomputed, and the request key honours its inclusion contract.
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/parallel"
 )
 
 // countingSuite builds a deterministic stub suite whose executions are
@@ -86,7 +92,8 @@ func TestSuiteCacheKeySensitivity(t *testing.T) {
 // TestRequestKeyShardCountExcluded is the PR-6 contract carried into the
 // cache: sharded and sequential runs are bit-identical, so a report
 // computed at any shard count must serve every other. Worker count and
-// event budget are equally excluded.
+// event budget are equally excluded. The kernel worker-team size
+// (-kernelworkers) is included.
 func TestRequestKeyShardCountExcluded(t *testing.T) {
 	m := NewE870()
 	e := Experiment{ID: "x"}
@@ -112,11 +119,16 @@ func TestRequestKeyShardCountExcluded(t *testing.T) {
 	if requestKey(m, Experiment{ID: "y"}, RunOptions{}) == base {
 		t.Error("experiment id is not in the request key")
 	}
+	parallel.SetDefaultWorkers(parallel.Workers(0) + 1)
+	defer parallel.SetDefaultWorkers(0)
+	if requestKey(m, e, RunOptions{}) == base {
+		t.Error("kernel worker-team size is not in the request key")
+	}
 }
 
-// TestSuiteCacheNeverStoresFailed: panics, watchdog trips and
-// cancellations all produce FAILED reports, and none of them may be
-// served to a later identical request.
+// TestSuiteCacheNeverStoresFailed: panics and watchdog trips produce
+// FAILED reports, and none of them may be served to a later identical
+// request.
 func TestSuiteCacheNeverStoresFailed(t *testing.T) {
 	m := NewE870()
 
@@ -158,32 +170,6 @@ func TestSuiteCacheNeverStoresFailed(t *testing.T) {
 		}
 		if got := runs.Load(); got != 2 {
 			t.Errorf("tripped report was served from cache (%d runs, want 2)", got)
-		}
-	})
-
-	t.Run("cancelled", func(t *testing.T) {
-		cache := newTestCache(t, CacheOptions{})
-		cancelled := make(chan struct{})
-		close(cancelled)
-		e := Experiment{ID: "late", Run: func(ctx *experiments.Context) *experiments.Report {
-			for {
-				ctx.Budget.Charge(1)
-			}
-		}}
-		rep := RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, Cancel: cancelled, Cache: cache})[0]
-		if !rep.Failed() {
-			t.Fatal("cancelled experiment did not fail")
-		}
-		// The cancelled generation stored nothing; an uncancelled rerun
-		// against the same cache computes fresh and succeeds.
-		var runs atomic.Int64
-		e.Run = func(*experiments.Context) *experiments.Report {
-			runs.Add(1)
-			return &experiments.Report{ID: "late"}
-		}
-		rep = RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, Cache: cache})[0]
-		if rep.Failed() || runs.Load() != 1 {
-			t.Errorf("rerun after cancellation: failed=%v runs=%d, want a fresh success", rep.Failed(), runs.Load())
 		}
 	})
 }
@@ -259,6 +245,126 @@ func TestSuiteCacheDiskWarmProcess(t *testing.T) {
 			t.Errorf("%s: disk-served report differs from computed", first[i].ID)
 		}
 	}
+}
+
+// writeEntry plants data as the disk entry of experiment e's request
+// under dir and returns the entry's path.
+func writeEntry(t testing.TB, dir string, m *Machine, e Experiment, data []byte) string {
+	t.Helper()
+	path := filepath.Join(dir, requestKey(m, e, RunOptions{}).String())
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// checkServed fails unless rep passes the disk-read check for e: a
+// completed report of that experiment.
+func checkServed(t testing.TB, e Experiment, rep *Report) {
+	t.Helper()
+	if rep == nil || rep.ID != e.ID || rep.Failed() {
+		t.Fatalf("served a report that fails the entry check: %+v", rep)
+	}
+}
+
+// TestSuiteCacheRejectsStrayEntries: valid JSON that is not a completed
+// report of the requested experiment is not a warm report. LoadReport
+// refuses it, the entry is deleted and counted under
+// disk/corrupt_deleted, and RunSuite recomputes the experiment.
+func TestSuiteCacheRejectsStrayEntries(t *testing.T) {
+	m := NewE870()
+	var runs atomic.Int64
+	suite := countingSuite(&runs)
+	e := suite[0]
+	other, err := json.Marshal(&Report{ID: suite[1].ID, Title: suite[1].Title})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := json.Marshal(&Report{ID: e.ID, Title: e.Title, Err: "panic: injected"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty object", []byte("{}")},
+		{"null", []byte("null")},
+		{"another experiment", other},
+		{"failed report", failed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := NewStatsRegistry("t")
+			cache, err := NewSuiteCache(CacheOptions{Dir: dir}, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deleted := reg.Child("memo").Child("reports").Child("disk").Counter("corrupt_deleted")
+
+			path := writeEntry(t, dir, m, e, tc.data)
+			if rep, ok := cache.LoadReport(e, m, RunOptions{}); ok {
+				t.Fatalf("LoadReport served %+v", rep)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("rejected entry still on disk: %v", err)
+			}
+			if got := deleted.Load(); got != 1 {
+				t.Errorf("corrupt_deleted = %d after LoadReport, want 1", got)
+			}
+
+			writeEntry(t, dir, m, e, tc.data)
+			before := runs.Load()
+			var fromCache bool
+			rep := RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, Cache: cache,
+				OnReport: func(_ int, _ *Report, fc bool) { fromCache = fc }})[0]
+			checkServed(t, e, rep)
+			if fromCache || runs.Load() != before+1 {
+				t.Errorf("stray entry served as warm (fromCache %v, runs %d -> %d)", fromCache, before, runs.Load())
+			}
+			if got := deleted.Load(); got != 2 {
+				t.Errorf("corrupt_deleted = %d after RunSuite, want 2", got)
+			}
+		})
+	}
+}
+
+// FuzzReportEntry writes arbitrary bytes as a report's disk entry and
+// reads it back through LoadReport and a cached RunSuite. Neither may
+// panic or serve a report that fails the entry check, and an entry
+// LoadReport rejects must be gone from disk.
+func FuzzReportEntry(f *testing.F) {
+	m := NewE870()
+	var runs atomic.Int64
+	e := countingSuite(&runs)[0]
+	valid, err := json.Marshal(e.Run(&experiments.Context{Machine: m}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{nil, valid[:len(valid)/2], []byte("{}"), []byte("null"), valid} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		cache, err := NewSuiteCache(CacheOptions{Dir: dir}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := writeEntry(t, dir, m, e, data)
+		if rep, ok := cache.LoadReport(e, m, RunOptions{}); ok {
+			checkServed(t, e, rep)
+		} else if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("rejected entry still on disk: %v", err)
+		}
+
+		cache, err = NewSuiteCache(CacheOptions{Dir: dir}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeEntry(t, dir, m, e, data)
+		rep := RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, Cache: cache})[0]
+		checkServed(t, e, rep)
+	})
 }
 
 // TestFaultSuiteWarmIdentical runs the real degradation suite cold and

@@ -11,7 +11,6 @@
 //	p8d -cachemb 256             # in-memory report cache budget
 //	p8d -nocache                 # recompute everything, always
 //	p8d -kernelworkers 8         # worker-team size inside host kernels
-//	p8d -grainfactor 16          # finer dynamic kernel chunks
 //	p8d -journal /var/p8djournal # durable jobs: crash recovery on boot
 //	p8d -fsync off               # journal without per-record fsync
 //

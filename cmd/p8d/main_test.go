@@ -27,7 +27,6 @@ func TestUsageErrors(t *testing.T) {
 		{"jobworkers", []string{"-jobworkers", "0"}, "p8d: -jobworkers must be at least 1, got 0", true},
 		{"cachemb", []string{"-cachemb", "0"}, "p8d: -cachemb must be at least 1, got 0", true},
 		{"kernelworkers", []string{"-kernelworkers", "-1"}, "p8d: -kernelworkers must be >= 0, got -1", true},
-		{"grainfactor", []string{"-grainfactor", "-1"}, "p8d: -grainfactor must be >= 0, got -1", true},
 		{"fsync without journal", []string{"-fsync", "off"}, "p8d: -fsync requires -journal (there is no journal to sync)", true},
 		{"fsync policy", []string{"-journal", filepath.Join(file, "j"), "-fsync", "maybe"}, `p8d: -fsync must be "always" or "off", got "maybe"`, true},
 		{"cache directory", []string{"-cachedir", filepath.Join(file, "sub")}, "p8d: memo: cache directory:", false},

@@ -7,7 +7,6 @@
 //	p8repro -quick               # reduced working sets (seconds, not minutes)
 //	p8repro -parallel 4          # run up to 4 experiments concurrently
 //	p8repro -kernelworkers 8     # worker-team size inside each kernel
-//	p8repro -grainfactor 16      # finer dynamic chunks (chunks per worker)
 //	p8repro -markdown            # emit an EXPERIMENTS.md-style report
 //	p8repro -list                # list experiment ids
 //	p8repro -cpuprofile cpu.pb   # write a pprof CPU profile of the run

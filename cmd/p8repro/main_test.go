@@ -29,7 +29,6 @@ func TestUsageErrors(t *testing.T) {
 		{"undefined flag", []string{"-bogus"}, "flag provided but not defined: -bogus", "", true},
 		{"parallel", []string{"-parallel", "0"}, "p8repro: -parallel must be at least 1, got 0", "", true},
 		{"kernelworkers", []string{"-kernelworkers", "-1"}, "p8repro: -kernelworkers must be >= 0, got -1", "", true},
-		{"grainfactor", []string{"-grainfactor", "-2"}, "p8repro: -grainfactor must be >= 0, got -2", "", true},
 		{"ablations with faults", []string{"-ablations", "-faultseed", "3"}, "p8repro: -ablations cannot be combined with -faults/-faultseed", "", true},
 		{"faults and faultseed", []string{"-faults", "worst-day", "-faultseed", "2"}, "p8repro: -faults and -faultseed are mutually exclusive; pick one plan source", "", true},
 		{"shards", []string{"-shards", "3"}, "p8repro: -shards 3 does not divide the 8-socket topology (use 0 for auto or a divisor of 8)", "", true},

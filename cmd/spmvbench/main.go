@@ -9,13 +9,12 @@
 //	spmvbench -profile "Wind Tunnel"          # built-in synthetic matrix
 //	spmvbench -mtx pwtk.mtx                   # a real .mtx file
 //	spmvbench -mtx graph.mtx -twoscan -block 4096
-//	spmvbench -profile "LiveJournal" -sched static -threads 8
-//	spmvbench -profile "LiveJournal" -grain 64    # finer dynamic chunks
+//	spmvbench -profile "LiveJournal" -threads 8
 //	spmvbench -profile "Wind Tunnel" -stats       # team-scheduling counters
 //
 // -stats instruments the kernel runtime's worker teams and prints their
 // counters after the run (dispatches, per-worker chunks and items, the
-// dynamic schedule's imbalance distribution); see DESIGN.md
+// dynamic row chunks' imbalance distribution); see DESIGN.md
 // "Observability" for the taxonomy. -statsaddr additionally serves the
 // live registry over HTTP for watching a long run.
 package main
@@ -42,8 +41,6 @@ func main() {
 		iters   = flag.Int("iters", 5, "timed repetitions")
 		threads = flag.Int("threads", 0, "worker threads (0 = all CPUs)")
 		seed    = flag.Uint64("seed", 1, "synthesis seed for -profile")
-		sched   = flag.String("sched", "dynamic", "CSR schedule: dynamic (atomic row chunks) or static (nnz-balanced pre-split)")
-		grain   = flag.Int("grain", 0, "dynamic chunk size in rows (0 = nnz-aware auto)")
 		stats   = flag.Bool("stats", false, "print kernel-runtime scheduling counters after the run")
 		addr    = flag.String("statsaddr", "", "serve the live counter registry over HTTP at this address (implies -stats)")
 	)
@@ -61,17 +58,6 @@ func main() {
 			}()
 		}
 	}
-
-	var opt spmv.Options
-	switch *sched {
-	case "dynamic":
-		opt.Sched = parallel.Dynamic
-	case "static":
-		opt.Sched = parallel.Static
-	default:
-		fatal(fmt.Errorf("unknown -sched %q (want dynamic or static)", *sched))
-	}
-	opt.Grain = *grain
 
 	if *list {
 		for _, p := range graph.Suite() {
@@ -114,8 +100,8 @@ func main() {
 
 	fmt.Printf("%s: %d x %d, %d nonzeros (%.1f per row), %v\n",
 		name, m.Rows, m.Cols, m.NNZ(), m.AvgDegree(), m.Bytes())
-	rate := spmv.MeasureCSRWith(m, *threads, *iters, opt)
-	fmt.Printf("CSR SpMV:      %v (%v schedule)\n", rate, opt.Sched)
+	rate := spmv.MeasureCSR(m, *threads, *iters)
+	fmt.Printf("CSR SpMV:      %v\n", rate)
 	if *twoscan {
 		ts := spmv.NewTwoScan(m, *block)
 		rate2 := spmv.MeasureTwoScan(ts, *threads, *iters)

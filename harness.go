@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -33,18 +32,13 @@ type RunOptions struct {
 	Workers int
 	// Stats, when non-nil, instruments the run: every experiment gets a
 	// child scope keyed by its id, and the harness's own counters
-	// (panics recovered, watchdog trips, cancellations) land under a
-	// "harness" scope.
+	// (panics recovered, watchdog trips) land under a "harness" scope.
 	Stats *StatsRegistry
 	// EventBudget bounds each experiment: every simulated event
 	// (DES dispatch or walker access) charges one unit, and exhaustion
 	// aborts the experiment with a failed report instead of hanging the
 	// suite. 0 means unlimited.
 	EventBudget uint64
-	// Cancel, when non-nil, aborts the run when closed: running
-	// experiments trip at their next budget poll, experiments that have
-	// not started return cancelled reports immediately.
-	Cancel <-chan struct{}
 	// Faults selects the degradation plan for the fault-suite
 	// experiments (nil falls back to their canned default). The paper
 	// suite ignores it.
@@ -77,7 +71,7 @@ type RunOptions struct {
 // RunSuite executes a set of experiments against one machine under the
 // hardened harness contract: every experiment runs isolated (a panic
 // becomes that experiment's failed report, the rest of the suite is
-// unaffected) and optionally watched (event budget, cancellation).
+// unaffected) and optionally watched (event budget).
 // Reports come back in suite order regardless of completion order, one
 // per experiment, always. The Machine is read-only after construction,
 // so one machine is safely shared by every worker and a parallel run
@@ -91,13 +85,8 @@ func RunSuite(suite []Experiment, m *Machine, opts RunOptions) []*Report {
 	// attributable on sequential runs.
 	recordAllocs := workers == 1
 	h := opts.Stats.Child("harness")
-	broker := newCancelBroker()
-	if opts.Cancel != nil {
-		stop := broker.watch(opts.Cancel)
-		defer stop()
-	}
 	return parallel.Map(workers, suite, func(i int, e Experiment) *Report {
-		rep, fromCache := runHardened(e, m, opts, h, broker, recordAllocs)
+		rep, fromCache := runHardened(e, m, opts, h, recordAllocs)
 		if opts.OnReport != nil {
 			opts.OnReport(i, rep, fromCache)
 		}
@@ -109,8 +98,8 @@ func RunSuite(suite []Experiment, m *Machine, opts RunOptions) []*Report {
 // is configured (and the run is uninstrumented), running it on a miss;
 // without a cache it just runs it. The second return reports whether
 // the cache supplied the report.
-func runHardened(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, broker *cancelBroker, recordAllocs bool) (*Report, bool) {
-	run := func() *Report { return runAttempt(e, m, opts, h, broker, recordAllocs) }
+func runHardened(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, recordAllocs bool) (*Report, bool) {
+	run := func() *Report { return runAttempt(e, m, opts, h, recordAllocs) }
 	if opts.Cache == nil || opts.Stats != nil {
 		return run(), false
 	}
@@ -119,14 +108,10 @@ func runHardened(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, bro
 
 // runAttempt executes one experiment isolated, with a fresh watchdog
 // budget and its own registry scope.
-func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, broker *cancelBroker, recordAllocs bool) *Report {
+func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, recordAllocs bool) *Report {
 	var budget *engine.Budget
-	if opts.EventBudget > 0 || opts.Cancel != nil {
+	if opts.EventBudget > 0 {
 		budget = engine.NewBudget(opts.EventBudget)
-		if !broker.add(budget) {
-			h.Counter("cancellations").Inc()
-			return &Report{ID: e.ID, Title: e.Title, Err: engine.Trip{Cancelled: true}.Error()}
-		}
 	}
 	scope := opts.Stats.Child(e.ID) // nil Stats -> nil scope: uninstrumented
 	var m0 runtime.MemStats
@@ -174,11 +159,7 @@ func safeRun(e Experiment, ctx *experiments.Context, h *obs.Registry) (rep *Repo
 		rep = &Report{ID: e.ID, Title: e.Title}
 		switch t := cause.(type) {
 		case engine.Trip:
-			if t.Cancelled {
-				h.Counter("cancellations").Inc()
-			} else {
-				h.Counter("watchdog_trips").Inc()
-			}
+			h.Counter("watchdog_trips").Inc()
 			rep.Err = t.Error()
 		default:
 			h.Counter("panics_recovered").Inc()
@@ -186,51 +167,4 @@ func safeRun(e Experiment, ctx *experiments.Context, h *obs.Registry) (rep *Repo
 		}
 	}()
 	return e.Run(ctx)
-}
-
-// cancelBroker fans one cancellation signal out to every live budget
-// and turns not-yet-started experiments away.
-type cancelBroker struct {
-	mu        sync.Mutex
-	cancelled bool
-	budgets   []*engine.Budget
-}
-
-func newCancelBroker() *cancelBroker { return &cancelBroker{} }
-
-// add registers a budget for cancellation fan-out; it reports false —
-// and registers nothing — when the run is already cancelled.
-func (b *cancelBroker) add(bud *engine.Budget) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cancelled {
-		return false
-	}
-	b.budgets = append(b.budgets, bud)
-	return true
-}
-
-// cancelAll cancels every registered budget and every future add.
-func (b *cancelBroker) cancelAll() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cancelled = true
-	for _, bud := range b.budgets {
-		bud.Cancel()
-	}
-	b.budgets = nil
-}
-
-// watch cancels the broker when cancel closes; the returned stop
-// function ends the watch (idempotent with the cancellation itself).
-func (b *cancelBroker) watch(cancel <-chan struct{}) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			b.cancelAll()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
 }

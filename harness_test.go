@@ -1,8 +1,7 @@
 package power8
 
 // Tests for the hardened harness: panic isolation, the event-budget
-// watchdog, cancellation fan-out, and the reproducibility of
-// fault-degraded runs.
+// watchdog, and the reproducibility of fault-degraded runs.
 
 import (
 	"reflect"
@@ -113,39 +112,6 @@ func TestRunSuiteWatchdogTripsRealExperiment(t *testing.T) {
 	rep := reports[0]
 	if !rep.Failed() || !strings.Contains(rep.Err, "event budget exhausted") {
 		t.Errorf("figure2 under a 1000-event budget: Err = %q", rep.Err)
-	}
-}
-
-// TestRunSuiteCancellation: closing the cancel channel mid-sweep stops
-// the running experiment at its next budget poll and turns every
-// not-yet-started experiment away, one cancelled report each.
-func TestRunSuiteCancellation(t *testing.T) {
-	cancel := make(chan struct{})
-	hang := func(ctx *experiments.Context) *experiments.Report {
-		for {
-			ctx.Budget.Charge(1)
-		}
-	}
-	suite := []Experiment{
-		{ID: "closer", Title: "cancels the run", Run: func(ctx *experiments.Context) *experiments.Report {
-			close(cancel)
-			return hang(ctx)
-		}},
-		{ID: "second", Title: "never starts", Run: hang},
-		{ID: "third", Title: "never starts", Run: hang},
-	}
-	root := NewStatsRegistry("test")
-	reports := RunSuite(suite, NewE870(), RunOptions{Workers: 1, Cancel: cancel, Stats: root})
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports, want 3", len(reports))
-	}
-	for _, rep := range reports {
-		if !rep.Failed() || !strings.Contains(rep.Err, "cancelled") {
-			t.Errorf("%s: want cancellation, got %q", rep.ID, rep.Err)
-		}
-	}
-	if got := root.Child("harness").Counter("cancellations").Load(); got != 3 {
-		t.Errorf("cancellations = %d, want 3", got)
 	}
 }
 

@@ -25,10 +25,9 @@ func TestBudgetNilIsUnlimited(t *testing.T) {
 	if tr := trips(func() { b.Charge(1 << 40) }); tr != nil {
 		t.Fatalf("nil budget tripped: %v", tr)
 	}
-	if b.Spent() != 0 || b.Limit() != 0 || b.Cancelled() {
+	if b.Spent() != 0 || b.Limit() != 0 {
 		t.Error("nil budget accessors not zero")
 	}
-	b.Cancel() // must not panic
 }
 
 func TestBudgetExhaustion(t *testing.T) {
@@ -43,7 +42,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	if tr == nil {
 		t.Fatal("charge past the limit did not trip")
 	}
-	if tr.Cancelled || tr.Events != 100 || tr.Limit != 100 {
+	if tr.Events != 100 || tr.Limit != 100 {
 		t.Errorf("trip = %+v, want exhaustion at 100 of 100", tr)
 	}
 	if !strings.Contains(tr.Error(), "event budget exhausted (100 of 100 events)") {
@@ -51,38 +50,14 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestBudgetZeroLimitOnlyCancels(t *testing.T) {
+// TestBudgetZeroLimitNeverTrips: a zero limit is no limit.
+func TestBudgetZeroLimitNeverTrips(t *testing.T) {
 	b := NewBudget(0)
 	if tr := trips(func() { b.Charge(1 << 20) }); tr != nil {
 		t.Fatalf("unlimited budget tripped: %v", tr)
 	}
-	b.Cancel()
-	if !b.Cancelled() {
-		t.Fatal("Cancel did not mark the budget")
-	}
-	tr := trips(func() {
-		for i := 0; i < 2*cancelCheckMask; i++ {
-			b.Charge(1)
-		}
-	})
-	if tr == nil {
-		t.Fatal("cancelled budget never tripped within two poll windows")
-	}
-	if !tr.Cancelled {
-		t.Errorf("trip = %+v, want cancellation", tr)
-	}
-	if !strings.Contains(tr.Error(), "run cancelled after") {
-		t.Errorf("Error() = %q", tr.Error())
-	}
-}
-
-func TestBudgetLargeChargesPollCancellation(t *testing.T) {
-	// Charges bigger than the poll mask must still observe the flag:
-	// spent&mask < n holds on every charge with n > mask.
-	b := NewBudget(0)
-	b.Cancel()
-	if tr := trips(func() { b.Charge(cancelCheckMask + 1) }); tr == nil || !tr.Cancelled {
-		t.Fatalf("large charge missed the cancellation flag: %v", tr)
+	if cap := b.RoundCap(); cap != 0 {
+		t.Errorf("unlimited budget round cap %d, want 0", cap)
 	}
 }
 

@@ -274,8 +274,8 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 	ss.shardSent = make([]uint64, workers)
 	defer func() {
 		// Outside a sharded run Send routes directly again, and the
-		// mailboxes (all drained here: ChargeBatch is the only panic
-		// source and it fires before new sends) can be collected.
+		// mailboxes (all drained here: the barrier Charge is the only
+		// panic source and it fires before new sends) can be collected.
 		ss.workerOf = nil
 		ss.boxes = nil
 	}()
@@ -314,7 +314,7 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 		// The single trip point: workers only count, the coordinator
 		// books. A trip panics here, on the experiment's goroutine, where
 		// the harness's isolation wrapper can catch it.
-		ss.budget.ChargeBatch(sum)
+		ss.budget.Charge(sum)
 	}
 	return total
 }
@@ -361,16 +361,15 @@ func (ss *ShardedSim) runShardBody(_, lo, hi int) {
 
 // runShard merge-executes one shard's lanes in canonical order up to
 // the round cut. It never panics: budget exhaustion is bounded by the
-// round cap and cancellation by an amortized poll, both of which stop
-// the loop early and leave the trip to the coordinator's barrier —
-// a worker-goroutine panic would escape the harness's isolation.
+// round cap, which stops the loop early and leaves the trip to the
+// coordinator's barrier — a worker-goroutine panic would escape the
+// harness's isolation.
 //
 //p8:hotpath
 func (ss *ShardedSim) runShard(shard int) {
 	lo := shard * ss.perWorker
 	hi := lo + ss.perWorker
 	cut, horizon, limit := ss.roundCut, ss.roundHorizon, ss.roundCap
-	budget := ss.budget
 	var n uint64
 	for {
 		best := ss.minLane(lo, hi)
@@ -387,9 +386,6 @@ func (ss *ShardedSim) runShard(shard int) {
 		}
 		if limit > 0 && n >= limit {
 			break // budget exhausted; the barrier charge trips
-		}
-		if n&cancelCheckMask == cancelCheckMask && budget.Cancelled() {
-			break // cancelled; the barrier charge trips
 		}
 		next := l.queue.pop()
 		l.now = next.at

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -176,33 +175,25 @@ func TestShardedTripIdenticalToSequential(t *testing.T) {
 	}
 }
 
-func TestShardedCancelTripsAtBarrier(t *testing.T) {
-	b := NewBudget(0)
-	b.Cancel()
-	m := newShardModel(4, 500)
-	m.ss.SetBudget(b)
-	msg := tripError(t, func() { m.ss.RunSharded(2, 0) })
-	if !strings.Contains(msg, "cancelled") {
-		t.Errorf("cancelled run tripped with %q", msg)
-	}
-}
-
-func TestChargeBatch(t *testing.T) {
+// TestBudgetRoundCap: a shard round may run the remaining allowance
+// plus the one overflowing event, and the barrier charge of that round
+// trips with the sequential engine's diagnostic.
+func TestBudgetRoundCap(t *testing.T) {
 	var nilBudget *Budget
-	nilBudget.ChargeBatch(1 << 40) // nil fast path: must not panic
+	nilBudget.Charge(1 << 40) // nil fast path: must not panic
 	if cap := nilBudget.RoundCap(); cap != 0 {
 		t.Errorf("nil budget round cap %d, want 0 (unlimited)", cap)
 	}
 
 	b := NewBudget(100)
-	b.ChargeBatch(60)
+	b.Charge(60)
 	if b.Spent() != 60 {
 		t.Fatalf("spent %d, want 60", b.Spent())
 	}
 	if cap := b.RoundCap(); cap != 41 {
 		t.Errorf("round cap %d, want remaining+1 = 41", cap)
 	}
-	msg := tripError(t, func() { b.ChargeBatch(41) })
+	msg := tripError(t, func() { b.Charge(41) })
 	if msg != (Trip{Events: 100, Limit: 100}).Error() {
 		t.Errorf("overrun rendered %q", msg)
 	}

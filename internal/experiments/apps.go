@@ -27,7 +27,7 @@ func runFigure10(ctx *Context) *Report {
 		cfg.EdgeFactor = 8
 		cfg.Undirected = true
 		g := graph.RMAT(cfg)
-		st := jaccard.AllPairs(g, ctx.Threads, nil) //p8:allow determinism: deliberate host measurement — the elapsed time is reported as a labeled host reference and only sanity-bounded, never fingerprinted
+		st := jaccard.AllPairs(g, 0, nil) //p8:allow determinism: deliberate host measurement — the elapsed time is reported as a labeled host reference and only sanity-bounded, never fingerprinted
 		r.Printf("  scale %2d: %8.3fs  pairs %.3g  output %v  input %v",
 			s, st.Elapsed.Seconds(), float64(st.Pairs), st.OutputBytes, st.InputBytes())
 		r.CheckMin("scale "+itoa(s)+" output/input ratio", float64(st.OutputBytes)/float64(st.InputBytes()), 2)
@@ -90,7 +90,7 @@ func runFigure11(ctx *Context) *Report {
 				hp.NNZ = 512 * 512
 			}
 			m := graph.Generate(hp, 1)
-			rate := spmv.MeasureCSR(m, ctx.Threads, 3) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only sanity-bounded, never fingerprinted
+			rate := spmv.MeasureCSR(m, 0, 3) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only sanity-bounded, never fingerprinted
 			host = rate.String()
 		}
 		r.Printf("%-18s %11.0f GF/s %16s", p.Name, proj.GFLOPs, host)
@@ -123,7 +123,7 @@ func runFigure12(ctx *Context) *Report {
 	for _, s := range hostScales {
 		g := graph.RMAT(graph.DefaultRMAT(s, 1))
 		ts := spmv.NewTwoScan(g, 4096)
-		rate := spmv.MeasureTwoScan(ts, ctx.Threads, 3) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only sanity-bounded, never fingerprinted
+		rate := spmv.MeasureTwoScan(ts, 0, 3) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only sanity-bounded, never fingerprinted
 		r.Printf("  scale %2d: %8.2f GFLOP/s  avg block nnz %.0f", s, rate.GFs(), ts.AvgBlockNNZ())
 	}
 

@@ -22,8 +22,6 @@ type Context struct {
 	// in seconds (used by tests and `go test -bench`); the default
 	// full-size run is what EXPERIMENTS.md records.
 	Quick bool
-	// Threads for host-run kernels; 0 means all CPUs.
-	Threads int
 	// Obs, when non-nil, is the registry scope this experiment's
 	// counters land in. The harness hands every experiment its own
 	// child registry, so counters from concurrently running experiments
@@ -32,10 +30,10 @@ type Context struct {
 	Obs *obs.Registry
 	// Budget, when non-nil, is the harness watchdog for this run:
 	// runners thread it into the walkers and DES simulations they
-	// build, each simulated event charges one unit, and exhaustion (or
-	// external cancellation) aborts the experiment with an engine.Trip
-	// panic that the harness's isolation wrapper converts into a failed
-	// report. Nil (the default) runs unwatched.
+	// build, each simulated event charges one unit, and exhaustion
+	// aborts the experiment with an engine.Trip panic that the
+	// harness's isolation wrapper converts into a failed report. Nil
+	// (the default) runs unwatched.
 	Budget *engine.Budget
 	// Faults, when non-nil, selects the RAS degradation plan the
 	// fault-suite experiments apply; nil falls back to each
@@ -114,8 +112,8 @@ type Report struct {
 	// -stats flag renders it as the per-experiment counter appendix.
 	Stats *obs.Snapshot
 	// Err is the failure diagnostic when the experiment did not
-	// complete: a recovered panic (with stack), a tripped watchdog
-	// budget, or a cancellation. A report with a non-empty Err failed
+	// complete: a recovered panic (with stack) or a tripped watchdog
+	// budget. A report with a non-empty Err failed
 	// regardless of its checks; its Lines hold whatever was rendered
 	// before the abort.
 	Err string
@@ -170,8 +168,8 @@ func (r *Report) Passed() bool {
 	return true
 }
 
-// Failed reports whether the experiment aborted (panic, watchdog trip
-// or cancellation) instead of completing.
+// Failed reports whether the experiment aborted (panic or watchdog
+// trip) instead of completing.
 func (r *Report) Failed() bool { return r.Err != "" }
 
 // Experiment is one table or figure reproduction.

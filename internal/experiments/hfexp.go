@@ -20,7 +20,7 @@ func runTable5(ctx *Context) *Report {
 		"non-screened", "memory (GB)", "paper ERIs / GB")
 	for _, s := range specs {
 		mol := s.Build()
-		pairs := hf.BuildPairs(mol, ctx.Threads)
+		pairs := hf.BuildPairs(mol, 0)
 		entries := pairs.CountNonScreenedEntries(screenTol)
 		memGB := float64(entries) * 8 / 1e9
 		r.Printf("%-14s %6d %10d %16.3g %14.1f %12.3g / %.1f",
@@ -70,12 +70,12 @@ func runTable6(ctx *Context) *Report {
 	}
 	spec := hf.TableV()[3].Scaled(maxFuncs) // 1hsg-28, shrunk
 	mol := spec.Build()
-	comp, err := hf.Run(mol, hf.Config{Mode: hf.HFComp, Threads: ctx.Threads, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
+	comp, err := hf.Run(mol, hf.Config{Mode: hf.HFComp, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
 	if err != nil {
 		r.Note("host SCF failed: %v", err)
 		return r
 	}
-	mem, err := hf.Run(mol, hf.Config{Mode: hf.HFMem, Threads: ctx.Threads, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
+	mem, err := hf.Run(mol, hf.Config{Mode: hf.HFMem, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
 	if err != nil {
 		r.Note("host SCF failed: %v", err)
 		return r

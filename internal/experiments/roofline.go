@@ -33,8 +33,8 @@ func runFigure9(ctx *Context) *Report {
 	if ctx.Quick {
 		n = 32
 	}
-	stencilRate := kernels.MeasureStencil(n, ctx.Threads, 2) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only bounded below, never fingerprinted
-	fftRate := kernels.MeasureFFT3D(n, ctx.Threads, 2)       //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only bounded below, never fingerprinted
+	stencilRate := kernels.MeasureStencil(n, 0, 2) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only bounded below, never fingerprinted
+	fftRate := kernels.MeasureFFT3D(n, 0, 2)       //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only bounded below, never fingerprinted
 	r.Printf("executable kernels (host): Stencil %v at OI %.3f; 3D FFT %v at OI %.2f",
 		stencilRate, kernels.StencilOI(), fftRate, kernels.FFT3DOI(512))
 	r.Checkf("stencil OI from code (FLOP/B)", kernels.StencilOI(), 0.5, 0.01)

@@ -43,30 +43,15 @@ func (s Stats) InputBytes() units.Bytes {
 // safe for concurrent use; AllPairs calls it from multiple workers.
 type Emit func(i, j int32, similarity float64)
 
-// EmitWorker is Emit with the worker index (0-based, below
-// parallel.Workers(threads)) of the calling worker. A collector may use
-// it to keep contention-free per-worker state; calls with the same
-// worker index never overlap.
-type EmitWorker func(worker int, i, j int32, similarity float64)
-
 // AllPairs computes the Jaccard similarity of every pair of vertices with
 // a common neighbor. The graph must be undirected (a symmetric adjacency
 // matrix, as produced by graph.RMAT with Undirected set). A nil emit
 // counts pairs without materializing them, which is how the large-scale
-// footprint sweeps run.
+// footprint sweeps run. Row blocks are dynamically scheduled on the
+// persistent worker team: hub vertices of a scale-free graph make some
+// blocks orders of magnitude heavier than others, and pulling from the
+// shared cursor rebalances them.
 func AllPairs(g *graph.CSR, threads int, emit Emit) Stats {
-	var ew EmitWorker
-	if emit != nil {
-		ew = func(_ int, i, j int32, s float64) { emit(i, j, s) }
-	}
-	return AllPairsWorker(g, threads, ew)
-}
-
-// AllPairsWorker is AllPairs with a worker-indexed emit. Row blocks are
-// dynamically scheduled on the persistent worker team: hub vertices of a
-// scale-free graph make some blocks orders of magnitude heavier than
-// others, and pulling from the shared cursor rebalances them.
-func AllPairsWorker(g *graph.CSR, threads int, emit EmitWorker) Stats {
 	if g.Rows != g.Cols {
 		panic(fmt.Sprintf("jaccard: adjacency matrix must be square, got %dx%d", g.Rows, g.Cols))
 	}
@@ -111,7 +96,7 @@ func AllPairsWorker(g *graph.CSR, threads int, emit EmitWorker) Stats {
 					c := counts[j]
 					counts[j] = 0
 					union := di + g.Degree(int(j)) - int(c)
-					emit(w, int32(i), j, float64(c)/float64(union))
+					emit(int32(i), j, float64(c)/float64(union))
 				}
 			} else {
 				// Counting-only mode (footprint sweeps): skip the

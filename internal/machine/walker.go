@@ -45,8 +45,8 @@ type WalkerConfig struct {
 	// registry — the default — leaves the hot path untouched.
 	Obs *obs.Registry
 	// Budget, when non-nil, is charged one unit per access and trips
-	// the harness watchdog (panics with engine.Trip) when exhausted or
-	// cancelled. Nil — the default — costs one branch per access.
+	// the harness watchdog (panics with engine.Trip) when exhausted.
+	// Nil — the default — costs one branch per access.
 	Budget *engine.Budget
 }
 

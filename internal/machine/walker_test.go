@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/memsys"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
 )
@@ -220,7 +219,8 @@ func TestWalkerRemoteHome(t *testing.T) {
 // analytic Table IV interleaved figure.
 func TestWalkerInterleavedMatchesAnalytic(t *testing.T) {
 	m := e870()
-	home := memsys.Interleaved(m.Spec.Topology.Chips).HomeFunc()
+	chips := uint64(m.Spec.Topology.Chips)
+	home := func(addr uint64) arch.ChipID { return arch.ChipID(addr / (64 * 1024) % chips) } // 64 KiB pages round-robin
 	w := m.NewWalker(WalkerConfig{
 		Chip:            0,
 		DisablePrefetch: true,

@@ -14,10 +14,10 @@
 //
 //   - Non-storable results never enter the cache and never satisfy
 //     waiters: a compute that reports its bytes non-storable (a FAILED
-//     report, a watchdog trip, a cancellation) returns them to its own
-//     caller only, and every waiter retries with its own compute. A
-//     cancelled run therefore cannot poison the group — the other
-//     requests redo the work under their own budgets.
+//     report, a watchdog trip) returns them to its own caller only, and
+//     every waiter retries with its own compute. A tripped run
+//     therefore cannot poison the group — the other requests redo the
+//     work under their own budgets.
 //
 //   - A compute that panics is detached before the panic propagates:
 //     the inflight slot is removed and waiters retry. Panic isolation
@@ -132,7 +132,7 @@ func (c *Cache) DoBytes(key canon.Fingerprint, check func([]byte) error, compute
 				return f.data, true, nil
 			}
 			// The leader panicked or produced a non-storable result
-			// (failed / cancelled); recompute under our own flag.
+			// (a failed report); recompute under our own flag.
 			continue
 		}
 		f := &flight{done: make(chan struct{})}

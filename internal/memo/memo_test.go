@@ -169,9 +169,9 @@ func waits(reg *obs.Registry, name string) uint64 {
 	return 0
 }
 
-// TestNonStorableDoesNotPoisonWaiters is the cancellation contract: a
-// leader whose result is non-storable (FAILED report, cancelled run)
-// must not hand that result to waiting duplicates — they recompute.
+// TestNonStorableDoesNotPoisonWaiters is the non-poisoning contract: a
+// leader whose result is non-storable (a FAILED report) must not hand
+// that result to waiting duplicates — they recompute.
 func TestNonStorableDoesNotPoisonWaiters(t *testing.T) {
 	reg := obs.NewRegistry("test")
 	c := New("t", 0, reg)

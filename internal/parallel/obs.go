@@ -101,7 +101,7 @@ func (st *teamStats) flush(j *teamJob, wake int) {
 var sharedObs *obs.Registry
 
 // InstrumentShared publishes the scheduling counters of every
-// process-wide team (the ones behind For/StaticFor/StaticRanges) into a
+// process-wide team (the ones behind For/StaticFor) into a
 // "parallel" child of reg, covering teams that already exist and teams
 // created later. The shared teams outlive any one experiment, so these
 // counters are process-global; per-experiment registries only isolate

@@ -17,45 +17,21 @@ import (
 // per call puts the spawn/park cost on every iteration. A Team pays it
 // once.
 //
-// Two schedules are offered because the paper's workloads need both:
+// Two loop shapes are offered because the paper's workloads need both:
 //
-//   - Dynamic: workers pull fixed-size index chunks from an atomic
-//     cursor. Hub-heavy rows of a scale-free matrix (the Figure 12
-//     imbalance) land in some chunks and not others; pulling rebalances
-//     them automatically, like OpenMP's schedule(dynamic).
-//   - Static: a fixed contiguous pre-split, one range per worker. The
-//     assignment depends only on (n, workers), so per-worker partial
-//     reductions merge in a deterministic order and results are
-//     bit-reproducible run to run.
+//   - For/ParallelForWorker: workers pull fixed-size index chunks from
+//     an atomic cursor. Hub-heavy rows of a scale-free matrix (the
+//     Figure 12 imbalance) land in some chunks and not others; pulling
+//     rebalances them automatically, like OpenMP's schedule(dynamic).
+//     Every host kernel's main loop runs this way.
+//   - StaticFor: a fixed contiguous pre-split, one range per worker.
+//     The assignment depends only on (n, workers), so per-worker
+//     partial reductions merge in a deterministic order and results
+//     are bit-reproducible run to run.
 
-// Schedule selects how a parallel-for maps index ranges to workers.
-type Schedule int
-
-const (
-	// Dynamic hands out fixed-size chunks from an atomic cursor;
-	// load-imbalanced ranges rebalance automatically.
-	Dynamic Schedule = iota
-	// Static pre-splits the range into one contiguous chunk per worker;
-	// the assignment is deterministic, so ordered reductions are too.
-	Static
-)
-
-// String implements fmt.Stringer.
-func (s Schedule) String() string {
-	if s == Static {
-		return "static"
-	}
-	return "dynamic"
-}
-
-var (
-	// defaultWorkers overrides the GOMAXPROCS default when positive
-	// (the -kernelworkers knob).
-	defaultWorkers atomic.Int64
-	// grainChunks is the auto-grain target of chunks per worker
-	// (the -grainfactor knob); 0 means the default of 8.
-	grainChunks atomic.Int64
-)
+// defaultWorkers overrides the GOMAXPROCS default when positive (the
+// -kernelworkers knob).
+var defaultWorkers atomic.Int64
 
 // Workers resolves a kernel's threads argument: positive values pass
 // through; otherwise the process-wide default applies (SetDefaultWorkers
@@ -79,30 +55,14 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int64(n))
 }
 
-// GrainFactor returns the process-wide auto-grain override set by
-// SetGrainFactor (0 when the default applies). The harness folds it
-// into cached-report keys: host-measured kernels schedule differently
-// under a different grain.
-func GrainFactor() int { return int(grainChunks.Load()) }
-
-// SetGrainFactor sets the auto-grain target of dynamic chunks per
-// worker (default 8). More chunks balance better; fewer chunks cost
-// less scheduling. c <= 0 restores the default.
-func SetGrainFactor(c int) {
-	if c < 0 {
-		c = 0
-	}
-	grainChunks.Store(int64(c))
-}
+// grainChunks is the automatic grain's target of dynamic chunks per
+// worker: more chunks balance better, fewer cost less scheduling.
+const grainChunks = 8
 
 // autoGrain picks a dynamic chunk size giving each worker about
 // grainChunks chunks to pull.
 func autoGrain(n, workers int) int {
-	f := int(grainChunks.Load())
-	if f <= 0 {
-		f = 8
-	}
-	g := n / (workers * f)
+	g := n / (workers * grainChunks)
 	if g < 1 {
 		g = 1
 	}
@@ -196,13 +156,11 @@ func (t *Team) workerLoop(w int) {
 func (j *teamJob) run(w int) {
 	instrumented := j.chunks != nil
 	if j.bounds != nil {
-		if w < len(j.bounds)-1 {
-			if lo, hi := j.bounds[w], j.bounds[w+1]; lo < hi {
-				if instrumented {
-					j.noteChunk(w, hi-lo)
-				}
-				j.body(w, lo, hi) //p8:allow hotpath: the body IS the team's payload — dispatch is necessarily indirect; hot kernels annotate their own bodies
+		if lo, hi := j.bounds[w], j.bounds[w+1]; lo < hi {
+			if instrumented {
+				j.noteChunk(w, hi-lo)
 			}
+			j.body(w, lo, hi) //p8:allow hotpath: the body IS the team's payload — dispatch is necessarily indirect; hot kernels annotate their own bodies
 		}
 		return
 	}
@@ -260,20 +218,6 @@ func (t *Team) StaticFor(n int, body func(worker, lo, hi int)) {
 	t.dispatch(n, 0, evenBounds(n, t.workers), body)
 }
 
-// StaticRanges runs body over caller-supplied partition bounds: part p
-// covers [bounds[p], bounds[p+1]) and runs on worker p. It supports
-// load-aware pre-splits such as nnz-balanced row partitions. The number
-// of parts (len(bounds)-1) must not exceed the team size.
-func (t *Team) StaticRanges(bounds []int, body func(part, lo, hi int)) {
-	if len(bounds) < 2 {
-		return
-	}
-	if len(bounds)-1 > t.workers {
-		panic(fmt.Sprintf("parallel: %d static parts exceed %d workers", len(bounds)-1, t.workers))
-	}
-	t.dispatch(bounds[len(bounds)-1], 0, bounds, body)
-}
-
 // dispatch publishes one job to the team and waits for it to drain. It
 // runs once per parallel loop — not per item — so the runtime checks
 // and instrumentation stamps below are amortized over the whole loop;
@@ -320,15 +264,12 @@ func (t *Team) dispatch(n, grain int, bounds []int, body func(worker, lo, hi int
 		}
 		return
 	}
-	// Wake only as many workers as there are chunks (or static parts):
-	// a worker with nothing to pull would only add handoff latency.
+	// Wake only as many workers as there are chunks (a static split
+	// has one range per worker): a worker with nothing to pull would
+	// only add handoff latency.
 	wake := t.workers
 	if bounds == nil {
-		if need := (n + grain - 1) / grain; need < wake {
-			wake = need
-		}
-	} else if parts := len(bounds) - 1; parts < wake {
-		wake = parts
+		wake = min(wake, (n+grain-1)/grain)
 	}
 	j := &t.job
 	j.n, j.grain, j.bounds, j.body = n, grain, bounds, body
@@ -434,23 +375,4 @@ func StaticFor(workers, n int, body func(worker, lo, hi int)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.t.StaticFor(n, body)
-}
-
-// StaticRanges runs body over caller-supplied partition bounds on the
-// process-wide team (see Team.StaticRanges). workers must be at least
-// len(bounds)-1 after resolution.
-func StaticRanges(workers int, bounds []int, body func(part, lo, hi int)) {
-	workers = Workers(workers)
-	if workers == 1 {
-		for p := 0; p+1 < len(bounds); p++ {
-			if bounds[p] < bounds[p+1] {
-				body(p, bounds[p], bounds[p+1])
-			}
-		}
-		return
-	}
-	st := sharedFor(workers)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.t.StaticRanges(bounds, body)
 }

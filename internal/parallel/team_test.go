@@ -108,42 +108,6 @@ func TestTeamStaticForDeterministicPartition(t *testing.T) {
 	}
 }
 
-// TestTeamStaticRanges: caller-supplied bounds run part p on worker p.
-func TestTeamStaticRanges(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	bounds := []int{0, 10, 10, 35, 50} // part 1 is empty
-	var mu sync.Mutex
-	got := map[int][2]int{}
-	team.StaticRanges(bounds, func(p, lo, hi int) {
-		mu.Lock()
-		got[p] = [2]int{lo, hi}
-		mu.Unlock()
-	})
-	want := map[int][2]int{0: {0, 10}, 2: {10, 35}, 3: {35, 50}}
-	if len(got) != len(want) {
-		t.Fatalf("ran parts %v, want %v", got, want)
-	}
-	for p, r := range want {
-		if got[p] != r {
-			t.Errorf("part %d ran %v, want %v", p, got[p], r)
-		}
-	}
-}
-
-// TestTeamStaticRangesTooManyParts: more parts than workers is a
-// programming error.
-func TestTeamStaticRangesTooManyParts(t *testing.T) {
-	team := NewTeam(2)
-	defer team.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("3 parts on a 2-worker team did not panic")
-		}
-	}()
-	team.StaticRanges([]int{0, 1, 2, 3}, func(_, _, _ int) {})
-}
-
 // TestTeamConcurrentMisusePanics: a Team runs one loop at a time;
 // overlapping ParallelFor calls panic rather than corrupt the shared
 // job state.
@@ -267,13 +231,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestScheduleString covers the Stringer.
-func TestScheduleString(t *testing.T) {
-	if Dynamic.String() != "dynamic" || Static.String() != "static" {
-		t.Errorf("Schedule strings: %v %v", Dynamic, Static)
-	}
-}
-
 // TestNewTeamPanics rejects non-positive sizes.
 func TestNewTeamPanics(t *testing.T) {
 	defer func() {
@@ -287,7 +244,6 @@ func TestNewTeamPanics(t *testing.T) {
 // TestAutoGrainBounds: the automatic grain is always positive and never
 // larger than needed to give each worker several chunks.
 func TestAutoGrainBounds(t *testing.T) {
-	SetGrainFactor(0) // default
 	for _, n := range []int{1, 10, 1000, 1 << 20} {
 		for _, w := range []int{1, 4, 64} {
 			g := autoGrain(n, w)
@@ -296,11 +252,9 @@ func TestAutoGrainBounds(t *testing.T) {
 			}
 		}
 	}
-	SetGrainFactor(2)
-	if g := autoGrain(1000, 5); g != 100 {
-		t.Errorf("autoGrain with factor 2 = %d, want 100", g)
+	if g := autoGrain(1000, 5); g != 25 {
+		t.Errorf("autoGrain(1000, 5) = %d, want 25 (8 chunks per worker)", g)
 	}
-	SetGrainFactor(0)
 }
 
 // ParallelFor is ParallelForWorker without the worker index, the shape

@@ -247,24 +247,18 @@ func (e *Error) Render(spell func(name string) string) string {
 	return fmt.Sprintf(e.format, args...)
 }
 
-// KernelFlags registers the kernel-runtime knobs p8repro and p8d share
-// on fs: -kernelworkers sizes the host kernels' worker teams and
-// -grainfactor sets their dynamic-schedule chunks per worker. They are
+// KernelFlags registers the kernel-runtime knob p8repro and p8d share
+// on fs: -kernelworkers sizes the host kernels' worker teams. It is
 // process-wide (see internal/parallel), not part of a Request. The
-// returned apply checks the parsed values and installs them; a
-// negative value is an error and installs nothing.
+// returned apply checks the parsed value and installs it; a negative
+// value is an error and installs nothing.
 func KernelFlags(fs *flag.FlagSet) (apply func() error) {
 	workers := fs.Int("kernelworkers", 0, "worker-team size for the host kernels (0 = GOMAXPROCS)")
-	grain := fs.Int("grainfactor", 0, "dynamic-schedule chunks per worker (0 = default)")
 	return func() error {
 		if *workers < 0 {
 			return fmt.Errorf("-kernelworkers must be >= 0, got %d", *workers)
 		}
-		if *grain < 0 {
-			return fmt.Errorf("-grainfactor must be >= 0, got %d", *grain)
-		}
 		parallel.SetDefaultWorkers(*workers)
-		parallel.SetGrainFactor(*grain)
 		return nil
 	}
 }

@@ -73,7 +73,7 @@ func PageRank(g *graph.CSR, damping float64, tol float64, maxIters, threads int)
 			dangling += v
 		}
 
-		CSRWith(y, at, scaled, workers, Options{})
+		CSR(y, at, scaled, workers)
 
 		// Pass 2: apply damping and accumulate the L1 change.
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)

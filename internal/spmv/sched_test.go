@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
-// TestCSRScheduleIdentity: both schedules, at any worker count or
-// grain, produce output bit-identical to the sequential kernel — each
+// TestCSRScheduleIdentity: the dynamic row schedule, at any worker
+// count, produces output bit-identical to the sequential kernel — each
 // row's dot product accumulates in CSR element order regardless of
 // which worker computes it.
 func TestCSRScheduleIdentity(t *testing.T) {
@@ -19,21 +18,13 @@ func TestCSRScheduleIdentity(t *testing.T) {
 	} {
 		x := vec(m.Cols)
 		want := make([]float64, m.Rows)
-		CSRWith(want, m, x, 1, Options{}) // one worker: sequential oracle
+		CSR(want, m, x, 1) // one worker: sequential oracle
 		for _, threads := range []int{2, 4, 8, 16} {
-			for _, opt := range []Options{
-				{Sched: parallel.Dynamic},
-				{Sched: parallel.Dynamic, Grain: 1},
-				{Sched: parallel.Dynamic, Grain: 37},
-				{Sched: parallel.Static},
-			} {
-				y := make([]float64, m.Rows)
-				CSRWith(y, m, x, threads, opt)
-				for i := range y {
-					if y[i] != want[i] {
-						t.Fatalf("threads=%d sched=%v grain=%d: y[%d] = %v, want %v (must be bit-identical)",
-							threads, opt.Sched, opt.Grain, i, y[i], want[i])
-					}
+			y := make([]float64, m.Rows)
+			CSR(y, m, x, threads)
+			for i := range y {
+				if y[i] != want[i] {
+					t.Fatalf("threads=%d: y[%d] = %v, want %v (must be bit-identical)", threads, i, y[i], want[i])
 				}
 			}
 		}

@@ -1,18 +1,17 @@
 // Package spmv implements the two sparse matrix-vector multiply designs
-// of Section V-B: a CSR kernel with nnz-balanced 1D row partitioning for
-// HPC matrices (Figure 11), where the paper replicates the input vector
-// per socket; and the two-scan scaled/blocked algorithm of Buono et al.
+// of Section V-B: a row-parallel CSR kernel for HPC matrices (Figure
+// 11), where the paper replicates the input vector per socket; and the two-scan scaled/blocked algorithm of Buono et al.
 // for scale-free graphs (Figure 12), which column-blocks a scaling pass
 // and row-blocks a reduction pass so each pass's vector chunk stays in
 // cache.
 //
 // All kernels run on the persistent worker team of internal/parallel:
 // steady-state iteration (PageRank power steps, MeasureCSR repetitions)
-// spawns no goroutines. The CSR kernel defaults to dynamic chunking with
-// nnz-aware grain sizing so hub-heavy scale-free rows rebalance across
-// workers; Options selects the paper's static nnz-balanced pre-split
-// instead. Either schedule computes each row's dot product in the same
-// element order, so results are bit-identical to the sequential kernel.
+// spawns no goroutines. The CSR kernel pulls row chunks dynamically with
+// nnz-aware grain sizing, so hub-heavy scale-free rows rebalance across
+// workers where the paper pre-splits rows by nonzeros. Each row's dot
+// product accumulates in the same element order whichever worker runs
+// it, so results are bit-identical to the sequential kernel.
 package spmv
 
 import (
@@ -24,69 +23,21 @@ import (
 	"repro/internal/units"
 )
 
-// PartitionRows returns parts+1 row boundaries that balance nonzeros:
-// partition p owns rows [bounds[p], bounds[p+1]). Mirrors the paper's
-// static 1D partitioning with per-partition nnz balancing.
-func PartitionRows(m *graph.CSR, parts int) []int {
-	if parts <= 0 {
-		panic(fmt.Sprintf("spmv: parts = %d", parts))
-	}
-	bounds := make([]int, parts+1)
-	total := m.NNZ()
-	row := 0
-	for p := 1; p < parts; p++ {
-		target := total * int64(p) / int64(parts)
-		for row < m.Rows && m.RowPtr[row] < target {
-			row++
-		}
-		bounds[p] = row
-	}
-	bounds[parts] = m.Rows
-	return bounds
-}
-
-// Options tunes the CSR kernel's schedule.
-type Options struct {
-	// Sched picks the schedule: Dynamic (default) pulls row chunks from
-	// an atomic cursor; Static uses the nnz-balanced pre-split of
-	// PartitionRows (the paper's partitioning).
-	Sched parallel.Schedule
-	// Grain is the dynamic chunk size in rows; 0 sizes chunks so each
-	// carries roughly equal nonzeros (nnz-aware auto grain).
-	Grain int
-}
-
-// CSR computes y = A*x with the row-partitioned CSR kernel using the
-// default dynamic schedule.
+// CSR computes y = A*x with the row-parallel CSR kernel: workers pull
+// row chunks sized by csrGrain from the shared cursor.
 func CSR(y []float64, m *graph.CSR, x []float64, threads int) {
-	CSRWith(y, m, x, threads, Options{})
-}
-
-// CSRWith computes y = A*x with an explicit schedule choice.
-func CSRWith(y []float64, m *graph.CSR, x []float64, threads int, opt Options) {
 	if len(y) != m.Rows || len(x) != m.Cols {
 		panic(fmt.Sprintf("spmv: dims y=%d x=%d for %dx%d", len(y), len(x), m.Rows, m.Cols))
 	}
 	workers := parallel.Workers(threads)
-	if opt.Sched == parallel.Static {
-		bounds := PartitionRows(m, workers)
-		parallel.StaticRanges(workers, bounds, func(_, lo, hi int) {
-			csrRows(y, m, x, lo, hi)
-		})
-		return
-	}
-	grain := opt.Grain
-	if grain <= 0 {
-		grain = csrGrain(m, workers)
-	}
-	parallel.For(workers, m.Rows, grain, func(lo, hi int) {
+	parallel.For(workers, m.Rows, csrGrain(m, workers), func(lo, hi int) {
 		csrRows(y, m, x, lo, hi)
 	})
 }
 
-// csrRows is the serial row kernel both schedules share; each row's sum
-// accumulates in CSR element order, so output bits do not depend on the
-// schedule.
+// csrRows is the serial row kernel; each row's sum accumulates in CSR
+// element order, so output bits do not depend on which worker runs the
+// row.
 func csrRows(y []float64, m *graph.CSR, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var sum float64
@@ -126,11 +77,6 @@ func Flops(m *graph.CSR) float64 { return 2 * float64(m.NNZ()) }
 // MeasureCSR times iters repetitions of the CSR kernel after a warmup and
 // returns the throughput.
 func MeasureCSR(m *graph.CSR, threads, iters int) units.Rate {
-	return MeasureCSRWith(m, threads, iters, Options{})
-}
-
-// MeasureCSRWith is MeasureCSR with an explicit schedule choice.
-func MeasureCSRWith(m *graph.CSR, threads, iters int, opt Options) units.Rate {
 	if iters <= 0 {
 		panic("spmv: iters must be positive")
 	}
@@ -139,10 +85,10 @@ func MeasureCSRWith(m *graph.CSR, threads, iters int, opt Options) units.Rate {
 		x[i] = 1 + float64(i%3)
 	}
 	y := make([]float64, m.Rows)
-	CSRWith(y, m, x, threads, opt) // warmup
+	CSR(y, m, x, threads) // warmup
 	start := time.Now()
 	for it := 0; it < iters; it++ {
-		CSRWith(y, m, x, threads, opt)
+		CSR(y, m, x, threads)
 	}
 	sec := time.Since(start).Seconds()
 	return units.Rate(Flops(m) * float64(iters) / sec)

@@ -1,11 +1,11 @@
 package spmv
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // Benchmarks for the kernel-runtime migration. Two comparisons matter:
@@ -13,10 +13,11 @@ import (
 //  1. team vs spawn-per-call — the multi-iteration paths (PageRank
 //     power steps, MeasureCSR repetitions) pay the goroutine set-up on
 //     every call in the old pattern and never in the new one;
-//  2. dynamic vs static scheduling — on a skewed R-MAT matrix the hub
-//     rows gate a static partition's slowest worker, while dynamic
-//     chunks rebalance; on a banded (uniform) matrix static has the
-//     lower overhead.
+//  2. dynamic chunks vs the paper's static nnz-balanced split (the
+//     spawn baseline) — on a skewed R-MAT matrix the hub rows gate a
+//     static partition's slowest worker, while dynamic chunks
+//     rebalance; on a banded (uniform) matrix static has the lower
+//     overhead.
 
 func benchRMAT() *graph.CSR { return graph.RMAT(graph.DefaultRMAT(14, 1)) }
 func benchBanded() *graph.CSR {
@@ -31,6 +32,27 @@ func benchVectors(m *graph.CSR) (y, x []float64) {
 		x[i] = 1 + float64(i%3)
 	}
 	return make([]float64, m.Rows), x
+}
+
+// PartitionRows returns parts+1 row boundaries that balance nonzeros:
+// partition p owns rows [bounds[p], bounds[p+1]). Mirrors the paper's
+// static 1D partitioning with per-partition nnz balancing.
+func PartitionRows(m *graph.CSR, parts int) []int {
+	if parts <= 0 {
+		panic(fmt.Sprintf("spmv: parts = %d", parts))
+	}
+	bounds := make([]int, parts+1)
+	total := m.NNZ()
+	row := 0
+	for p := 1; p < parts; p++ {
+		target := total * int64(p) / int64(parts)
+		for row < m.Rows && m.RowPtr[row] < target {
+			row++
+		}
+		bounds[p] = row
+	}
+	bounds[parts] = m.Rows
+	return bounds
 }
 
 // csrSpawn is the pre-team CSR kernel: static nnz-balanced partition,
@@ -53,25 +75,14 @@ func csrSpawn(y []float64, m *graph.CSR, x []float64, workers int) {
 	wg.Wait()
 }
 
-func BenchmarkCSRTeamDynamic(b *testing.B) {
+func BenchmarkCSRTeam(b *testing.B) {
 	m := benchRMAT()
 	y, x := benchVectors(m)
 	b.SetBytes(m.NNZ() * 12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CSRWith(y, m, x, 4, Options{Sched: parallel.Dynamic})
-	}
-}
-
-func BenchmarkCSRTeamStatic(b *testing.B) {
-	m := benchRMAT()
-	y, x := benchVectors(m)
-	b.SetBytes(m.NNZ() * 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CSRWith(y, m, x, 4, Options{Sched: parallel.Static})
+		CSR(y, m, x, 4)
 	}
 }
 
@@ -86,9 +97,9 @@ func BenchmarkCSRSpawnBaseline(b *testing.B) {
 	}
 }
 
-// Static-vs-dynamic at 8 workers on the skewed R-MAT matrix (hub rows
-// gate the static split) and the uniform banded matrix (static's lower
-// overhead should win or tie).
+// Dynamic chunks vs the static spawn split at 8 workers on the skewed
+// R-MAT matrix (hub rows gate the static split) and the uniform banded
+// matrix (static's lower overhead should win or tie).
 
 func BenchmarkCSRDynamicRMAT8(b *testing.B) {
 	m := benchRMAT()
@@ -96,7 +107,7 @@ func BenchmarkCSRDynamicRMAT8(b *testing.B) {
 	b.SetBytes(m.NNZ() * 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CSRWith(y, m, x, 8, Options{Sched: parallel.Dynamic})
+		CSR(y, m, x, 8)
 	}
 }
 
@@ -106,7 +117,7 @@ func BenchmarkCSRStaticRMAT8(b *testing.B) {
 	b.SetBytes(m.NNZ() * 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CSRWith(y, m, x, 8, Options{Sched: parallel.Static})
+		csrSpawn(y, m, x, 8)
 	}
 }
 
@@ -116,7 +127,7 @@ func BenchmarkCSRDynamicBanded8(b *testing.B) {
 	b.SetBytes(m.NNZ() * 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CSRWith(y, m, x, 8, Options{Sched: parallel.Dynamic})
+		CSR(y, m, x, 8)
 	}
 }
 
@@ -126,7 +137,7 @@ func BenchmarkCSRStaticBanded8(b *testing.B) {
 	b.SetBytes(m.NNZ() * 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CSRWith(y, m, x, 8, Options{Sched: parallel.Static})
+		csrSpawn(y, m, x, 8)
 	}
 }
 

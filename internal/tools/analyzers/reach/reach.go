@@ -46,7 +46,7 @@ import (
 // Analyzer is the reach pass.
 var Analyzer = &analysis.Analyzer{
 	Name:       "reach",
-	Doc:        "report functions no main, init, exported API, function value, stdlib interface or other package's test reaches",
+	Doc:        "report functions no main, init, exported API, function value, stdlib interface or other package's test reaches (needs the whole module, ./...: over a package subset it floods with code reached only from outside the subset)",
 	RunProgram: run,
 }
 

@@ -26,14 +26,14 @@ import (
 // dispatchMethods are the Team methods that run a loop.
 var dispatchMethods = map[string]bool{
 	"ParallelFor": true, "ParallelForWorker": true,
-	"StaticFor": true, "StaticRanges": true,
+	"StaticFor": true,
 }
 
 // dispatchFuncs are the package-level helpers that run a loop on a
 // shared team.
 var dispatchFuncs = map[string]bool{
 	"For": true, "ForWorker": true,
-	"StaticFor": true, "StaticRanges": true,
+	"StaticFor": true,
 }
 
 // Analyzer is the teamuse pass.

@@ -23,9 +23,6 @@ func (t *Team) ParallelForWorker(n, grain int, body func(w, lo, hi int)) { body(
 // StaticFor runs body over a static partition of [0, n).
 func (t *Team) StaticFor(n int, body func(w, lo, hi int)) { body(0, 0, n) }
 
-// StaticRanges runs body over explicit partition bounds.
-func (t *Team) StaticRanges(bounds []int, body func(p, lo, hi int)) {}
-
 // For runs body on a transient team.
 func For(workers, n, grain int, body func(lo, hi int)) { body(0, n) }
 
@@ -34,6 +31,3 @@ func ForWorker(workers, n, grain int, body func(w, lo, hi int)) { body(0, 0, n) 
 
 // StaticFor runs body over a static partition on a transient team.
 func StaticFor(workers, n int, body func(w, lo, hi int)) { body(0, 0, n) }
-
-// StaticRanges runs body over explicit bounds on a transient team.
-func StaticRanges(workers int, bounds []int, body func(p, lo, hi int)) {}
