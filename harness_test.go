@@ -116,7 +116,8 @@ func TestRunSuiteWatchdogTripsRealExperiment(t *testing.T) {
 }
 
 // TestFaultSuiteDeterministic: the same fault seed yields bit-identical
-// degraded reports, run to run and regardless of worker count.
+// degraded reports, run to run and regardless of worker count, and they
+// match testdata/quick-degradation-seed42.golden.
 func TestFaultSuiteDeterministic(t *testing.T) {
 	plan := fault.Random(42, E870Spec(), 5)
 	if reflect.DeepEqual(plan, fault.Random(7, E870Spec(), 5)) {
@@ -134,6 +135,7 @@ func TestFaultSuiteDeterministic(t *testing.T) {
 	if len(a) != len(b) || len(a) == 0 {
 		t.Fatalf("report counts differ: %d vs %d", len(a), len(b))
 	}
+	checkGolden(t, "quick-degradation-seed42.golden", b)
 	for i := range a {
 		if a[i].Failed() || b[i].Failed() {
 			t.Fatalf("%s: degraded run failed: %q %q", a[i].ID, a[i].Err, b[i].Err)

@@ -65,6 +65,10 @@ type Check struct {
 	// Min marks a lower-bound check: pass when Got >= Want (e.g. "the
 	// L4 saves more than 30 ns").
 	Min bool
+	// Host marks a check whose Got is a host wall-clock measurement, so
+	// its value differs run to run. It stays out of the report JSON: a
+	// report decoded from the cache carries no host marks.
+	Host bool `json:"-"`
 }
 
 // Pass reports whether the check holds. Shape-only checks (Want == 0,
@@ -107,6 +111,11 @@ type Report struct {
 	Lines  []string // rendered rows/series in the paper's layout
 	Notes  []string // substitutions, calibrations, caveats
 	Checks []Check
+	// HostLines holds, in order, the indices into Lines of the lines
+	// that embed a host wall-clock measurement (Hostf). Every other line
+	// is a pure function of the run's inputs. Like Check.Host it stays
+	// out of the report JSON.
+	HostLines []int `json:"-"`
 	// Stats is the experiment's counter snapshot when the run was
 	// observed (Context.Obs non-nil); nil otherwise. cmd/p8repro's
 	// -stats flag renders it as the per-experiment counter appendix.
@@ -124,6 +133,23 @@ func (r *Report) Printf(format string, args ...interface{}) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
+// Hostf appends a formatted line that embeds a host measurement: it
+// renders exactly as Printf would and is marked in HostLines.
+func (r *Report) Hostf(format string, args ...interface{}) {
+	r.HostLines = append(r.HostLines, len(r.Lines))
+	r.Printf(format, args...)
+}
+
+// IsHostLine reports whether Lines[i] was written by Hostf.
+func (r *Report) IsHostLine(i int) bool {
+	for _, h := range r.HostLines {
+		if h == i {
+			return true
+		}
+	}
+	return false
+}
+
 // Note appends a formatted note.
 func (r *Report) Note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
@@ -137,6 +163,12 @@ func (r *Report) Checkf(name string, got, want, tol float64) {
 // CheckMin records a lower-bound check: got must be at least want.
 func (r *Report) CheckMin(name string, got, want float64) {
 	r.Checks = append(r.Checks, Check{Name: name, Got: got, Want: want, Min: true})
+}
+
+// HostCheckMin records a lower-bound check on a host measurement: got
+// must be at least want, and the check is marked Host.
+func (r *Report) HostCheckMin(name string, got, want float64) {
+	r.Checks = append(r.Checks, Check{Name: name, Got: got, Want: want, Min: true, Host: true})
 }
 
 // CheckRatio records an order-of-magnitude comparison: got must be within

@@ -80,11 +80,11 @@ func runTable6(ctx *Context) *Report {
 		r.Note("host SCF failed: %v", err)
 		return r
 	}
-	r.Printf("host SCF on %s (n_f=%d): HF-Comp %.2fs vs HF-Mem %.2fs (%.2fx), E = %.6f vs %.6f Ha",
+	r.Hostf("host SCF on %s (n_f=%d): HF-Comp %.2fs vs HF-Mem %.2fs (%.2fx), E = %.6f vs %.6f Ha",
 		spec.Name, mol.NumFunctions(), comp.Total.Seconds(), mem.Total.Seconds(),
 		comp.Total.Seconds()/mem.Total.Seconds(), comp.Energy, mem.Energy)
 	r.Checkf("host energies agree (Ha)", mem.Energy, comp.Energy, 1e-6)
-	r.CheckMin("host HF-Mem also faster (x)", comp.Total.Seconds()/mem.Total.Seconds(), 1.1)
+	r.HostCheckMin("host HF-Mem also faster (x)", comp.Total.Seconds()/mem.Total.Seconds(), 1.1)
 	conv := 0.0
 	if comp.Converged && mem.Converged {
 		conv = 1

@@ -35,11 +35,11 @@ func runFigure9(ctx *Context) *Report {
 	}
 	stencilRate := kernels.MeasureStencil(n, 0, 2) //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only bounded below, never fingerprinted
 	fftRate := kernels.MeasureFFT3D(n, 0, 2)       //p8:allow determinism: deliberate host measurement — the rate is reported as a labeled host reference and only bounded below, never fingerprinted
-	r.Printf("executable kernels (host): Stencil %v at OI %.3f; 3D FFT %v at OI %.2f",
+	r.Hostf("executable kernels (host): Stencil %v at OI %.3f; 3D FFT %v at OI %.2f",
 		stencilRate, kernels.StencilOI(), fftRate, kernels.FFT3DOI(512))
 	r.Checkf("stencil OI from code (FLOP/B)", kernels.StencilOI(), 0.5, 0.01)
-	r.CheckMin("host stencil rate (GFLOP/s)", stencilRate.GFs(), 0.01)
-	r.CheckMin("host 3D FFT rate (GFLOP/s)", fftRate.GFs(), 0.01)
+	r.HostCheckMin("host stencil rate (GFLOP/s)", stencilRate.GFs(), 0.01)
+	r.HostCheckMin("host 3D FFT rate (GFLOP/s)", fftRate.GFs(), 0.01)
 
 	r.Checkf("peak compute GFLOP/s", main.PeakCompute.GFs(), 2227, 0.001)
 	r.Checkf("peak bandwidth GB/s", main.PeakBandwidth.GBps(), 1843, 0.001)

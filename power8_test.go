@@ -44,6 +44,9 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick: every check of the quick paper suite passes, and
+// every report matches testdata/quick-paper.golden outside its host
+// measurements.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
@@ -52,6 +55,7 @@ func TestRunAllQuick(t *testing.T) {
 	if len(reports) != 18 {
 		t.Fatalf("reports = %d", len(reports))
 	}
+	checkGolden(t, "quick-paper.golden", reports)
 	for _, rep := range reports {
 		if !rep.Passed() {
 			for _, c := range rep.Checks {
