@@ -74,9 +74,12 @@ func (sc *SuiteCache) Reports() *memo.Cache {
 // sequential runs are bit-identical by contract — PR 6 — so a result
 // computed at any shard count serves every other), the worker count
 // (experiments are independent) and the event budget (a budget either
-// trips — FAILED, never cached — or changes nothing).
+// trips — FAILED, never cached — or changes nothing). The domain's
+// version moves when the same key would compute different content, so
+// older cache entries are never read: v3 is Figure 10's closed-form
+// projection.
 func requestKey(m *Machine, e Experiment, opts RunOptions) canon.Fingerprint {
-	h := canon.NewHasher("power8/request/v2")
+	h := canon.NewHasher("power8/request/v3")
 	h.Fp(canon.Machine(m))
 	h.Str(e.ID)
 	h.Bool(opts.Quick)

@@ -63,8 +63,22 @@ func TestIntegrationJaccardFeedsProjection(t *testing.T) {
 	g := graph.RMAT(cfg)
 	st := jaccard.AllPairs(g, 0, nil)
 
-	// Calibrate the dedup ratio in the projection's own operation space:
-	// raw multigraph degrees, as RMATDegrees streams them.
+	// Calibrate the dedup ratio in the projection's own operation space,
+	// the expected raw multigraph Σd² it reports as Ops.
+	m := NewE870()
+	jm := perfmodel.DefaultJaccardModel()
+	projected := float64(st.Pairs) / perfmodel.ProjectJaccard(m, jm, scale, 4).Ops
+	// Re-anchor the fitted law at this measurement; the projection at
+	// the same scale must then reproduce the measured pair count.
+	jm.DedupBase *= projected / jm.DedupAt(scale)
+	p := perfmodel.ProjectJaccard(m, jm, scale, 4)
+	ratio := p.Pairs / float64(st.Pairs)
+	if ratio < 0.99 || ratio > 1.01 {
+		t.Errorf("projected pairs %v vs measured %d (ratio %.2f)", p.Pairs, st.Pairs, ratio)
+	}
+
+	// The unanchored law must already be close on this graph's own
+	// streamed degrees (it was fitted on other seeds).
 	rawCfg := graph.DefaultRMAT(scale, 4)
 	rawCfg.EdgeFactor = 8
 	rawDeg, err := graph.RMATDegrees(rawCfg)
@@ -76,17 +90,6 @@ func TestIntegrationJaccardFeedsProjection(t *testing.T) {
 		rawOps += float64(d) * float64(d)
 	}
 	measured := float64(st.Pairs) / rawOps
-	jm := perfmodel.DefaultJaccardModel()
-	// Re-anchor the fitted law at this measurement; the projection at
-	// the same scale must then reproduce the measured pair count.
-	jm.DedupBase *= measured / jm.DedupAt(scale)
-	p := perfmodel.ProjectJaccard(NewE870(), jm, scale, 4)
-	ratio := p.Pairs / float64(st.Pairs)
-	if ratio < 0.99 || ratio > 1.01 {
-		t.Errorf("projected pairs %v vs measured %d (ratio %.2f)", p.Pairs, st.Pairs, ratio)
-	}
-	// The unanchored law must already be close (it was fitted on other
-	// seeds).
 	if def := perfmodel.DefaultJaccardModel().DedupAt(scale); !within(measured, def, 0.20) {
 		t.Errorf("measured raw-space dedup ratio %.4f vs fitted law %.4f", measured, def)
 	}

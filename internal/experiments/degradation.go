@@ -153,7 +153,7 @@ func runDegChannels(ctx *Context) *Report {
 	}
 	checkCurve(r, "system stream", healthy.Mem.SystemStream(2.0/3).GBps(), streams)
 	checkCurve(r, "random peak", healthy.Mem.RandomPeakBandwidth().GBps(), rndPeaks)
-	r.Note("placement rebalancing: interleave weights drop with the chip's surviving channel count (memsys.WeightedInterleaved)")
+	r.Note("placement rebalancing: interleave weights drop with the chip's surviving channel count (memsys.Degradation.InterleaveWeights)")
 	return r
 }
 

@@ -111,11 +111,11 @@ type Report struct {
 	Lines  []string // rendered rows/series in the paper's layout
 	Notes  []string // substitutions, calibrations, caveats
 	Checks []Check
-	// HostLines holds, in order, the indices into Lines of the lines
+	// hostLines holds, in order, the indices into Lines of the lines
 	// that embed a host wall-clock measurement (Hostf). Every other line
-	// is a pure function of the run's inputs. Like Check.Host it stays
+	// is a pure function of the run's inputs. Being unexported, it stays
 	// out of the report JSON.
-	HostLines []int `json:"-"`
+	hostLines []int
 	// Stats is the experiment's counter snapshot when the run was
 	// observed (Context.Obs non-nil); nil otherwise. cmd/p8repro's
 	// -stats flag renders it as the per-experiment counter appendix.
@@ -134,15 +134,15 @@ func (r *Report) Printf(format string, args ...interface{}) {
 }
 
 // Hostf appends a formatted line that embeds a host measurement: it
-// renders exactly as Printf would and is marked in HostLines.
+// renders exactly as Printf would and is marked as a host line.
 func (r *Report) Hostf(format string, args ...interface{}) {
-	r.HostLines = append(r.HostLines, len(r.Lines))
+	r.hostLines = append(r.hostLines, len(r.Lines))
 	r.Printf(format, args...)
 }
 
 // IsHostLine reports whether Lines[i] was written by Hostf.
 func (r *Report) IsHostLine(i int) bool {
-	for _, h := range r.HostLines {
+	for _, h := range r.hostLines {
 		if h == i {
 			return true
 		}

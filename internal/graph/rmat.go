@@ -92,6 +92,61 @@ func RMATDegrees(cfg RMATConfig) ([]int32, error) {
 	return deg, nil
 }
 
+// RMATMoments are the first two moments of the degree sequence
+// RMATDegrees counts, in which every generated edge adds one to the
+// degree of each endpoint.
+type RMATMoments struct {
+	Sum   float64 // Σ_u d_u: exactly 2E
+	SumSq float64 // Σ_u d_u², its expectation over the generator's draws
+}
+
+// RMATDegreeMoments returns the moments of the degree sequence
+// RMATDegrees would stream, in closed form: no edge is drawn, and the
+// seed does not enter.
+//
+// Each R-MAT level picks its quadrant independently (Chakrabarti, Zhan
+// and Faloutsos, SDM 2004), so an endpoint's probability of landing on
+// vertex u is a product over u's bits of a per-bit marginal: source
+// (a+b, c+d), destination (a+c, b+d), and both at once, a self loop,
+// (a, d). A sum over u of the product of two such marginals f and g is
+// then (f0·g0 + f1·g1)^s. Edge e adds X_e(u) = [src=u] + [dst=u] to
+// d_u, and the E edges are drawn independently, so
+//
+//	E[Σ_u d_u²] = E·E[Σ_u X_e(u)²] + E(E−1)·Σ_u (P_src(u) + P_dst(u))²,
+//
+// where Σ_u X_e(u)² is 2, or 4 for a self loop. NoSelf redraws self
+// loops, which occur with probability S = (a+d)^s: each marginal is
+// conditioned to P' = (P − P_self)/(1−S) and the first term is 2E.
+// The probabilities are the generator's own, read from its draw
+// thresholds. With NoSelf and S = 1 every draw is a self loop, which
+// the generator would redraw forever; that configuration is an error.
+func RMATDegreeMoments(cfg RMATConfig) (RMATMoments, error) {
+	if err := cfg.Validate(); err != nil {
+		return RMATMoments{}, err
+	}
+	const one = 1 << 53
+	t := rmatThresholds(cfg)
+	a, b := float64(t[0])/one, float64(t[1]-t[0])/one
+	c, d := float64(t[2]-t[1])/one, float64(one-t[2])/one
+	src, dst, self := [2]float64{a + b, c + d}, [2]float64{a + c, b + d}, [2]float64{a, d}
+	sum := func(f, g [2]float64) float64 { return math.Pow(f[0]*g[0]+f[1]*g[1], float64(cfg.Scale)) }
+
+	loops := sum(self, [2]float64{1, 1})
+	spread := sum(src, src) + 2*sum(src, dst) + sum(dst, dst) // Σ_u (P_src + P_dst)²
+	perEdge := 2 + 2*loops
+	if cfg.NoSelf {
+		if loops >= 1 {
+			return RMATMoments{}, fmt.Errorf("graph: R-MAT with a+d = 1 draws only self loops, which NoSelf cannot redraw")
+		}
+		// Σ_u (P_src + P_dst − 2 P_self)², over the conditioning (1−S)².
+		spread += 4*sum(self, self) - 4*sum(src, self) - 4*sum(dst, self)
+		spread /= (1 - loops) * (1 - loops)
+		perEdge = 2
+	}
+	e := float64(cfg.Edges())
+	return RMATMoments{Sum: 2 * e, SumSq: e*perEdge + e*(e-1)*spread}, nil
+}
+
 // rmatGen draws R-MAT edges by recursive quadrant descent, one 53-bit
 // draw per level. Each draw k = Uint64()>>11 is the numerator of the
 // uniform variate k/2^53, so comparing it against the integer threshold
@@ -109,16 +164,23 @@ type rmatGen struct {
 }
 
 func newRMATGen(cfg RMATConfig) *rmatGen {
+	return &rmatGen{r: rng.New(cfg.Seed), scale: cfg.Scale, noSelf: cfg.NoSelf, t: rmatThresholds(cfg)}
+}
+
+// rmatThresholds returns the draw thresholds for A, A+B and A+B+C, made
+// non-decreasing. They alone set the quadrant probabilities: D is what
+// the draws above the last threshold leave.
+func rmatThresholds(cfg RMATConfig) [3]uint64 {
 	ab := cfg.A + cfg.B
 	abc := ab + cfg.C
-	g := &rmatGen{r: rng.New(cfg.Seed), scale: cfg.Scale, noSelf: cfg.NoSelf}
+	var t [3]uint64
 	for q, p := range [3]float64{cfg.A, ab, abc} {
-		g.t[q] = rmatThreshold(p)
-		if q > 0 && g.t[q] < g.t[q-1] {
-			g.t[q] = g.t[q-1]
+		t[q] = rmatThreshold(p)
+		if q > 0 && t[q] < t[q-1] {
+			t[q] = t[q-1]
 		}
 	}
-	return g
+	return t
 }
 
 // rmatThreshold returns the smallest k with k/2^53 >= p, capped at 2^53:

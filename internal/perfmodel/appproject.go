@@ -12,7 +12,7 @@ import (
 type JaccardPoint struct {
 	Scale     int
 	Vertices  int
-	Ops       float64 // two-hop expansion operations, sum over u of d(u)^2
+	Ops       float64 // two-hop expansion operations, expected sum over u of d(u)^2
 	Pairs     float64 // estimated distinct similar pairs
 	TimeSec   float64
 	Footprint units.Bytes // input CSR + output pairs
@@ -61,24 +61,22 @@ func (jm JaccardModel) DedupAt(scale int) float64 {
 }
 
 // ProjectJaccard projects the all-pairs Jaccard run for one R-MAT scale
-// on the modelled machine: operation counts come from the actual R-MAT
-// degree sequence (streamed, not stored); time is the streamed traffic
-// over the bandwidth the configured thread count sustains; the footprint
-// is the input CSR plus the emitted pairs.
+// on the modelled machine: the operation count is the expected Σ d(u)²
+// of the R-MAT degree sequence, in closed form (graph.RMATDegreeMoments;
+// no edge is drawn, so the projection reaches any scale at no cost and
+// seed selects nothing); time is the streamed traffic over the bandwidth
+// the configured thread count sustains; the footprint is the input CSR
+// plus the emitted pairs.
 func ProjectJaccard(m *machine.Machine, jm JaccardModel, scale int, seed uint64) JaccardPoint {
 	cfg := graph.DefaultRMAT(scale, seed)
 	cfg.EdgeFactor = 8 // mirrored to average degree 16, as in the paper
-	deg, err := graph.RMATDegrees(cfg)
+	mom, err := graph.RMATDegreeMoments(cfg)
 	if err != nil {
 		// DefaultRMAT configurations are valid by construction; an error
 		// here is a programming bug, same contract as graph.RMAT.
 		panic(err)
 	}
-	var ops, edges float64
-	for _, d := range deg {
-		ops += float64(d) * float64(d)
-		edges += float64(d)
-	}
+	ops, edges := mom.SumSq, mom.Sum
 	threads := jm.ThreadsPerCore * m.Spec.TotalCores()
 	// Each core runs ThreadsPerCore threads; its sequential rate divided
 	// over them is one thread's share.
@@ -93,7 +91,7 @@ func ProjectJaccard(m *machine.Machine, jm JaccardModel, scale int, seed uint64)
 	// Output emission writes at the write-link bound.
 	writeBW := float64(m.Mem.StreamBandwidth(0, m.Spec.Topology.Chips))
 	t := scanBytes/sysBW + outBytes/writeBW
-	input := edges*12 + float64(len(deg)+1)*8
+	input := edges*12 + float64(cfg.Vertices()+1)*8
 	return JaccardPoint{
 		Scale:     scale,
 		Vertices:  cfg.Vertices(),
