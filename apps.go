@@ -85,7 +85,10 @@ type Molecule = hf.Molecule
 // MoleculeSpec identifies one Table V molecular system.
 type MoleculeSpec = hf.MoleculeSpec
 
-// HFConfig controls a self-consistent-field run.
+// HFConfig controls a self-consistent-field run: the ERI strategy, the
+// Schwarz tolerance and the worker count. The SCF algorithm itself, a
+// DIIS-accelerated Jacobi eigensolve with fixed iteration limits, has
+// no settings.
 type HFConfig = hf.Config
 
 // HFResult summarizes an SCF run.

@@ -66,7 +66,7 @@ func TestFacadeHF(t *testing.T) {
 		t.Fatalf("molecules = %d", len(specs))
 	}
 	mol := specs[3].Scaled(40).Build()
-	res, err := RunHF(mol, HFConfig{Mode: HFMem, UseDIIS: true})
+	res, err := RunHF(mol, HFConfig{Mode: HFMem})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,6 @@ func runFigure10(ctx *Context) *Report {
 	r.Printf("E870 projection (scales 17-23, 1 thread/core as in the paper):")
 	jm := perfmodel.DefaultJaccardModel()
 	scales := []int{17, 18, 19, 20, 21, 22, 23}
-	if ctx.Quick {
-		scales = []int{17, 19, 21}
-	}
 	var first, last perfmodel.JaccardPoint
 	for i, s := range scales {
 		p := perfmodel.ProjectJaccard(ctx.Machine, jm, s, 1)

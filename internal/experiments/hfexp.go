@@ -70,12 +70,12 @@ func runTable6(ctx *Context) *Report {
 	}
 	spec := hf.TableV()[3].Scaled(maxFuncs) // 1hsg-28, shrunk
 	mol := spec.Build()
-	comp, err := hf.Run(mol, hf.Config{Mode: hf.HFComp, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
+	comp, err := hf.Run(mol, hf.Config{Mode: hf.HFComp}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
 	if err != nil {
 		r.Note("host SCF failed: %v", err)
 		return r
 	}
-	mem, err := hf.Run(mol, hf.Config{Mode: hf.HFMem, ScreenTol: screenTol}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
+	mem, err := hf.Run(mol, hf.Config{Mode: hf.HFMem}) //p8:allow determinism: deliberate host measurement — SCF wall times are reported as labeled host references and only ratio-checked, never fingerprinted
 	if err != nil {
 		r.Note("host SCF failed: %v", err)
 		return r

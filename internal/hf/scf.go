@@ -30,57 +30,18 @@ func (m Mode) String() string {
 	return "HF-Mem"
 }
 
-// DensityMethod selects how the density stage computes the spectral
-// projector of the Fock matrix.
-type DensityMethod int
-
-// Density stage variants.
+// The SCF stops once the max-abs density change between iterations
+// falls below convTol, or after maxIters iterations.
 const (
-	// DensityEigen diagonalizes the orthogonalized Fock matrix (Jacobi)
-	// and occupies the lowest orbitals — the textbook Roothaan step.
-	DensityEigen DensityMethod = iota
-	// DensityPurify builds the projector by canonical McWeeny
-	// purification, avoiding diagonalization — the "spectral projector"
-	// computation Section V-C refers to.
-	DensityPurify
+	maxIters = 50
+	convTol  = 1e-6
 )
-
-// String implements fmt.Stringer.
-func (d DensityMethod) String() string {
-	if d == DensityPurify {
-		return "purification"
-	}
-	return "eigensolve"
-}
 
 // Config controls an SCF run.
 type Config struct {
 	Mode      Mode
-	Density   DensityMethod
-	MaxIters  int     // default 50
-	ConvTol   float64 // max-abs density change; default 1e-6
 	ScreenTol float64 // Schwarz tolerance; default 1e-10 (the paper's)
 	Threads   int     // 0 = all CPUs
-	Damping   float64 // fraction of the old density retained; default 0.3
-	// UseDIIS enables Pulay convergence acceleration; damping is then
-	// ignored (DIIS supplies the mixing).
-	UseDIIS bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxIters == 0 {
-		c.MaxIters = 50
-	}
-	if c.ConvTol == 0 {
-		c.ConvTol = 1e-6
-	}
-	if c.ScreenTol == 0 {
-		c.ScreenTol = 1e-10
-	}
-	if c.Damping == 0 {
-		c.Damping = 0.3
-	}
-	return c
 }
 
 // Timings breaks an SCF run into the Table VI components.
@@ -136,9 +97,14 @@ type storedQuartet struct {
 	v          float64
 }
 
-// Run executes the restricted Hartree-Fock SCF procedure.
+// Run executes the restricted Hartree-Fock SCF procedure: each
+// iteration builds the Fock matrix, Pulay-extrapolates it over the last
+// six iterations (DIIS), and takes the next density from a Jacobi
+// eigensolve of the result.
 func Run(mol *Molecule, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	if cfg.ScreenTol == 0 {
+		cfg.ScreenTol = 1e-10
+	}
 	n := mol.NumFunctions()
 	nOcc := mol.OccupiedOrbitals()
 	if nOcc > n {
@@ -168,13 +134,10 @@ func Run(mol *Molecule, cfg Config) (*Result, error) {
 	}
 
 	// Initial guess: core Hamiltonian.
-	d := densityStep(h, x, nOcc, cfg.Density)
+	d := densityStep(h, x, nOcc)
 	var f *linalg.Matrix
-	var accel *diis
-	if cfg.UseDIIS {
-		accel = newDIIS(6)
-	}
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
+	accel := newDIIS(6)
+	for iter := 1; iter <= maxIters; iter++ {
 		res.Iterations = iter
 
 		t0 := time.Now()
@@ -183,30 +146,19 @@ func Run(mol *Molecule, cfg Config) (*Result, error) {
 		} else {
 			f = fockRecompute(mol, h, d, pairs, cfg.ScreenTol, cfg.Threads)
 		}
-		if accel != nil {
-			e := diisError(f, d, s)
-			accel.push(f, e)
-			if fx := accel.extrapolate(); fx != nil {
-				f = fx
-			}
+		accel.push(f, diisError(f, d, s))
+		if fx := accel.extrapolate(); fx != nil {
+			f = fx
 		}
 		res.Timings.Fock += time.Since(t0)
 
 		t0 = time.Now()
-		dNew := densityStep(f, x, nOcc, cfg.Density)
+		dNew := densityStep(f, x, nOcc)
 		res.Timings.Density += time.Since(t0)
 
 		delta := linalg.MaxAbsDiff(dNew, d)
-		if accel != nil {
-			// DIIS supplies the mixing; take the new density directly.
-			copy(d.Data, dNew.Data)
-		} else {
-			// Damped update stabilizes the synthetic systems.
-			for kk := range d.Data {
-				d.Data[kk] = (1-cfg.Damping)*dNew.Data[kk] + cfg.Damping*d.Data[kk]
-			}
-		}
-		if delta < cfg.ConvTol {
+		d = dNew
+		if delta < convTol {
 			res.Converged = true
 			break
 		}
@@ -235,10 +187,8 @@ func Run(mol *Molecule, cfg Config) (*Result, error) {
 }
 
 // densityStep solves the Roothaan equation in the orthogonal basis:
-// F' = X F X, then either eigensolve + occupy (C = X C',
-// D = C_occ C_occ^T) or McWeeny purification of F' followed by the
-// back-transform D = X D' X.
-func densityStep(f, x *linalg.Matrix, nOcc int, method DensityMethod) *linalg.Matrix {
+// F' = X F X, then eigensolve + occupy (C = X C', D = C_occ C_occ^T).
+func densityStep(f, x *linalg.Matrix, nOcc int) *linalg.Matrix {
 	n := f.N
 	tmp := linalg.NewMatrix(n)
 	fp := linalg.NewMatrix(n)
@@ -251,17 +201,6 @@ func densityStep(f, x *linalg.Matrix, nOcc int, method DensityMethod) *linalg.Ma
 			fp.Set(i, j, v)
 			fp.Set(j, i, v)
 		}
-	}
-	if method == DensityPurify {
-		dp, err := linalg.McWeenyPurify(fp, nOcc, 1e-11, 300)
-		if err == nil {
-			d := linalg.NewMatrix(n)
-			linalg.MatMul(tmp, x, dp)
-			linalg.MatMul(d, tmp, x)
-			return d
-		}
-		// Purification can stall when HOMO and LUMO are degenerate
-		// mid-SCF; fall back to the eigensolver for this step.
 	}
 	_, cp := linalg.JacobiEigen(fp)
 	c := linalg.NewMatrix(n)

@@ -13,6 +13,11 @@ func smallMol() *Molecule {
 	return MoleculeSpec{Name: "chain-4", Atoms: 4, Functions: 12, Shape: ShapeChain}.Build()
 }
 
+// chain8 builds an 8-atom, 24-function chain, twice smallMol's size.
+func chain8() *Molecule {
+	return MoleculeSpec{Name: "chain-8", Atoms: 8, Functions: 24, Shape: ShapeChain}.Build()
+}
+
 func TestSCFConverges(t *testing.T) {
 	res, err := Run(smallMol(), Config{Mode: HFComp})
 	if err != nil {
@@ -104,7 +109,7 @@ func TestDensityTrace(t *testing.T) {
 	s := mol.OverlapMatrix()
 	x := linalg.SymInvSqrt(s)
 	h := mol.CoreHamiltonian()
-	d := densityStep(h, x, mol.OccupiedOrbitals(), DensityEigen)
+	d := densityStep(h, x, mol.OccupiedOrbitals())
 	ds := linalg.NewMatrix(d.N)
 	linalg.MatMul(ds, d, s)
 	if got := 2 * ds.Trace(); math.Abs(got-float64(mol.NumElectrons())) > 1e-8 {
@@ -119,7 +124,7 @@ func TestDensityIdempotent(t *testing.T) {
 	s := mol.OverlapMatrix()
 	x := linalg.SymInvSqrt(s)
 	h := mol.CoreHamiltonian()
-	d := densityStep(h, x, mol.OccupiedOrbitals(), DensityEigen)
+	d := densityStep(h, x, mol.OccupiedOrbitals())
 	tmp := linalg.NewMatrix(d.N)
 	dsd := linalg.NewMatrix(d.N)
 	linalg.MatMul(tmp, d, s)
@@ -211,33 +216,6 @@ func TestEnergyComponents(t *testing.T) {
 	}
 	if c.NuclearRepulsion <= 0 {
 		t.Errorf("nuclear repulsion %v not positive", c.NuclearRepulsion)
-	}
-}
-
-// TestPurificationMatchesEigensolve: the SCF converges to the same
-// energy whichever density builder runs — the paper's "spectral
-// projector" stage is interchangeable with diagonalization.
-func TestPurificationMatchesEigensolve(t *testing.T) {
-	mol := smallMol()
-	eig, err := Run(mol, Config{Mode: HFMem, Density: DensityEigen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pur, err := Run(mol, Config{Mode: HFMem, Density: DensityPurify})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eig.Converged || !pur.Converged {
-		t.Fatalf("convergence: eigen=%v purify=%v", eig.Converged, pur.Converged)
-	}
-	if math.Abs(eig.Energy-pur.Energy) > 1e-6 {
-		t.Errorf("energies differ: eigensolve %v, purification %v", eig.Energy, pur.Energy)
-	}
-}
-
-func TestDensityMethodString(t *testing.T) {
-	if DensityEigen.String() != "eigensolve" || DensityPurify.String() != "purification" {
-		t.Error("DensityMethod strings wrong")
 	}
 }
 
