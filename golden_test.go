@@ -1,18 +1,22 @@
 package power8
 
-// Golden files for the quick suites: every line, note and check a report
-// renders, except the ones marked as host measurements (Report.Hostf,
-// Check.Host), which differ run to run. A change that moves simulated
-// or projected output moves a golden. Regenerate on purpose with
+// Golden files for the quick suites. The report goldens hold every
+// line, note and check a report renders, except the ones marked as host
+// measurements (Report.Hostf, Check.Host), which differ run to run. The
+// counter goldens hold every per-experiment counter. A change that moves
+// simulated or projected output, or the work behind it, moves a golden.
+// Regenerate all four on purpose with
 //
-//	go test -run 'TestRunAllQuick|TestFaultSuiteDeterministic' -update .
+//	go test -run 'TestRunAllQuick|TestObservedCountersDeterministicAndIsolated|TestFaultSuiteDeterministic' -update .
 //
 // and explain every moved line in the change description.
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -52,13 +56,58 @@ func goldenText(reps []*Report) string {
 	return b.String()
 }
 
-// checkGolden compares reps against testdata/name, or rewrites that file
-// under -update. A mismatch names the first 20 differing lines.
-func checkGolden(t *testing.T, name string, reps []*Report) {
+// counterText renders every per-experiment counter of instrumented
+// reports as sorted "path value" lines. The harness's own scope is left
+// out: it holds no simulated work.
+func counterText(t *testing.T, reps []*Report) string {
+	t.Helper()
+	var lines []string
+	for _, r := range reps {
+		if r.Stats == nil {
+			t.Fatalf("%s: instrumented run left Stats nil", r.ID)
+		}
+		for path, v := range r.Stats.CounterMap() {
+			if !strings.HasPrefix(path, r.ID+"/harness/") {
+				lines = append(lines, fmt.Sprintf("%s %d", path, v))
+			}
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// goldenBlock returns experiment id's records from the report golden
+// testdata/name, as goldenText renders that one report.
+func goldenBlock(t *testing.T, name, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	in := false
+	for _, l := range strings.SplitAfter(string(data), "\n") {
+		if strings.HasPrefix(l, "== ") {
+			in = strings.HasPrefix(l, "== "+id+" ")
+		}
+		if in {
+			b.WriteString(l)
+		}
+	}
+	if b.Len() == 0 {
+		t.Fatalf("testdata/%s has no block for %s", name, id)
+	}
+	return b.String()
+}
+
+// checkGolden compares got against testdata/name. Under -update a
+// writer rewrites the file instead; every other caller still compares,
+// so a second pass is held to what the first one wrote. A mismatch
+// names the first 20 differing lines.
+func checkGolden(t *testing.T, name, got string, writer bool) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
-	got := goldenText(reps)
-	if *update {
+	if *update && writer {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

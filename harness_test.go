@@ -13,27 +13,30 @@ import (
 )
 
 // TestRunSuiteIsolatesFailures is the hardening acceptance check: with
-// one of the paper's 18 experiments forced to panic and another forced
-// past its event budget, the suite still returns all 18 reports in
-// order — the two sabotaged ones FAILED with diagnostics, the other 16
-// unaffected.
+// one experiment forced to panic and another forced past its event
+// budget, the suite still returns every report in order. The two
+// sabotaged ones FAIL with diagnostics; the real ones running beside
+// them, figure6 (the walker) and figure4 (the DES), render exactly
+// their testdata/quick-paper.golden blocks.
 func TestRunSuiteIsolatesFailures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick suite")
-	}
-	suite := Experiments()
-	if len(suite) != 18 {
-		t.Fatalf("paper registry has %d experiments, want 18", len(suite))
-	}
-	const panicIdx, hangIdx = 3, 7
-	suite[panicIdx].Run = func(*experiments.Context) *experiments.Report {
-		panic("injected failure")
-	}
-	suite[hangIdx].Run = func(ctx *experiments.Context) *experiments.Report {
-		for { // a simulation that never drains
-			ctx.Budget.Charge(1 << 20)
+	byID := func(id string) Experiment {
+		e, ok := experiments.ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
 		}
+		return e
 	}
+	panics := Experiment{ID: "panics", Title: "injected panic",
+		Run: func(*experiments.Context) *experiments.Report {
+			panic("injected failure")
+		}}
+	hangs := Experiment{ID: "hangs", Title: "never drains",
+		Run: func(ctx *experiments.Context) *experiments.Report {
+			for { // a simulation that never drains
+				ctx.Budget.Charge(1 << 20)
+			}
+		}}
+	suite := []Experiment{panics, byID("figure6"), hangs, byID("figure4")}
 	root := NewStatsRegistry("test")
 	reports := RunSuite(suite, NewE870(), RunOptions{
 		Quick:       true,
@@ -47,23 +50,21 @@ func TestRunSuiteIsolatesFailures(t *testing.T) {
 		if rep.ID != suite[i].ID {
 			t.Errorf("report %d is %q, want %q (suite order)", i, rep.ID, suite[i].ID)
 		}
-		switch i {
-		case panicIdx:
+		switch rep.ID {
+		case panics.ID:
 			if !rep.Failed() || !strings.Contains(rep.Err, "injected failure") {
 				t.Errorf("%s: want recovered panic diagnostic, got %q", rep.ID, rep.Err)
 			}
 			if !strings.Contains(rep.Err, "goroutine") {
 				t.Errorf("%s: panic diagnostic carries no stack: %q", rep.ID, rep.Err)
 			}
-		case hangIdx:
+		case hangs.ID:
 			if !rep.Failed() || !strings.Contains(rep.Err, "event budget exhausted") {
 				t.Errorf("%s: want watchdog trip, got %q", rep.ID, rep.Err)
 			}
 		default:
-			if rep.Failed() {
-				t.Errorf("%s: unaffected experiment failed: %s", rep.ID, rep.Err)
-			} else if !rep.Passed() {
-				t.Errorf("%s: checks regressed under the hardened harness", rep.ID)
+			if got, want := goldenText([]*Report{rep}), goldenBlock(t, "quick-paper.golden", rep.ID); got != want {
+				t.Errorf("%s beside the sabotaged experiments:\n  got:\n%s\n  golden:\n%s", rep.ID, got, want)
 			}
 		}
 	}
@@ -116,8 +117,11 @@ func TestRunSuiteWatchdogTripsRealExperiment(t *testing.T) {
 }
 
 // TestFaultSuiteDeterministic: the same fault seed yields bit-identical
-// degraded reports, run to run and regardless of worker count, and they
-// match testdata/quick-degradation-seed42.golden.
+// degraded reports, run to run and regardless of worker count, shard
+// count and instrumentation. The sequential instrumented run matches
+// testdata/quick-degradation-seed42.golden and its counters match
+// testdata/quick-degradation-seed42-counters.golden; under -update it
+// rewrites both.
 func TestFaultSuiteDeterministic(t *testing.T) {
 	plan := fault.Random(42, E870Spec(), 5)
 	if reflect.DeepEqual(plan, fault.Random(7, E870Spec(), 5)) {
@@ -126,16 +130,17 @@ func TestFaultSuiteDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(plan, fault.Random(42, E870Spec(), 5)) {
 		t.Fatal("same seed produced different plans")
 	}
-	run := func(workers int) []*Report {
-		return RunSuite(FaultExperiments(), NewE870(), RunOptions{
-			Quick: true, Workers: workers, Faults: plan,
-		})
-	}
-	a, b := run(2), run(1)
+	a := RunSuite(FaultExperiments(), NewE870(), RunOptions{
+		Quick: true, Workers: 2, Faults: plan,
+	})
+	b := RunSuite(FaultExperiments(), NewE870(), RunOptions{
+		Quick: true, Workers: 1, Faults: plan, Shards: testShards, Stats: NewStatsRegistry("run"),
+	})
 	if len(a) != len(b) || len(a) == 0 {
 		t.Fatalf("report counts differ: %d vs %d", len(a), len(b))
 	}
-	checkGolden(t, "quick-degradation-seed42.golden", b)
+	checkGolden(t, "quick-degradation-seed42.golden", goldenText(b), true)
+	checkGolden(t, "quick-degradation-seed42-counters.golden", counterText(t, b), true)
 	for i := range a {
 		if a[i].Failed() || b[i].Failed() {
 			t.Fatalf("%s: degraded run failed: %q %q", a[i].ID, a[i].Err, b[i].Err)

@@ -3,14 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/arch"
-	"repro/internal/machine"
 )
-
-func quickCtx() *Context {
-	return &Context{Machine: machine.New(arch.E870()), Quick: true}
-}
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -38,36 +31,6 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("bogus id found")
-	}
-}
-
-// TestEveryExperimentPassesQuick runs the entire reproduction in quick
-// mode: every experiment must produce output and every recorded
-// paper-vs-measured check must pass.
-func TestEveryExperimentPassesQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	ctx := quickCtx()
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			rep := e.Run(ctx)
-			if rep.ID != e.ID {
-				t.Errorf("report id %q", rep.ID)
-			}
-			if len(rep.Lines) == 0 {
-				t.Error("no output lines")
-			}
-			if len(rep.Checks) == 0 {
-				t.Error("no checks recorded")
-			}
-			for _, c := range rep.Checks {
-				if !c.Pass() {
-					t.Errorf("check failed: %s", c.String())
-				}
-			}
-		})
 	}
 }
 

@@ -48,7 +48,9 @@ type Config struct {
 type Timings struct {
 	Precomp time.Duration // ERI precomputation (HF-Mem only, once)
 	Fock    time.Duration // total Fock-build time across iterations
-	Density time.Duration // total density-build time across iterations
+	// Density is the total density-update time across iterations: the
+	// DIIS error vector and extrapolation plus the eigensolve.
+	Density time.Duration
 }
 
 // EnergyComponents decomposes the total energy (all in Hartree).
@@ -83,7 +85,7 @@ func (r *Result) FockPerIter() time.Duration {
 	return r.Timings.Fock / time.Duration(r.Iterations)
 }
 
-// DensityPerIter returns the mean density-build time per iteration.
+// DensityPerIter returns the mean density-update time per iteration.
 func (r *Result) DensityPerIter() time.Duration {
 	if r.Iterations == 0 {
 		return 0
@@ -146,13 +148,13 @@ func Run(mol *Molecule, cfg Config) (*Result, error) {
 		} else {
 			f = fockRecompute(mol, h, d, pairs, cfg.ScreenTol, cfg.Threads)
 		}
+		res.Timings.Fock += time.Since(t0)
+
+		t0 = time.Now()
 		accel.push(f, diisError(f, d, s))
 		if fx := accel.extrapolate(); fx != nil {
 			f = fx
 		}
-		res.Timings.Fock += time.Since(t0)
-
-		t0 = time.Now()
 		dNew := densityStep(f, x, nOcc)
 		res.Timings.Density += time.Since(t0)
 

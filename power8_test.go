@@ -43,26 +43,3 @@ func TestExperimentsRegistry(t *testing.T) {
 		t.Errorf("registry size = %d, want 18 (tables I-VI + figures 1-12)", got)
 	}
 }
-
-// TestRunAllQuick: every check of the quick paper suite passes, and
-// every report matches testdata/quick-paper.golden outside its host
-// measurements.
-func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite")
-	}
-	reports := RunSuite(Experiments(), NewE870(), RunOptions{Quick: true})
-	if len(reports) != 18 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	checkGolden(t, "quick-paper.golden", reports)
-	for _, rep := range reports {
-		if !rep.Passed() {
-			for _, c := range rep.Checks {
-				if !c.Pass() {
-					t.Errorf("%s: %s", rep.ID, c.String())
-				}
-			}
-		}
-	}
-}
