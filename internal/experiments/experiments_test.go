@@ -34,6 +34,37 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentPassesQuick runs the entire reproduction in quick
+// mode: every experiment must produce output and every recorded
+// paper-vs-measured check must pass. The runs are the shared sequential
+// ones (quickReport) that TestSimulatedExperimentsRaceFree compares with
+// a parallel pass.
+func TestEveryExperimentPassesQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			rep, _ := quickReport(e)
+			if rep.ID != e.ID {
+				t.Errorf("report id %q", rep.ID)
+			}
+			if len(rep.Lines) == 0 {
+				t.Error("no output lines")
+			}
+			if len(rep.Checks) == 0 {
+				t.Error("no checks recorded")
+			}
+			for _, c := range rep.Checks {
+				if !c.Pass() {
+					t.Errorf("check failed: %s", c.String())
+				}
+			}
+		})
+	}
+}
+
 func TestCheckSemantics(t *testing.T) {
 	if !(Check{Name: "x", Got: 105, Want: 100, Tol: 0.05}).Pass() {
 		t.Error("within-tolerance check failed")

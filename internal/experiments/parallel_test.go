@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -16,6 +17,32 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
+
+// quickMachine is the one E870 Machine every quick run in this package
+// shares; it is read-only after construction.
+var quickMachine = sync.OnceValue(func() *machine.Machine { return machine.New(arch.E870()) })
+
+// quickRun is one instrumented quick run of an experiment.
+type quickRun struct {
+	once sync.Once
+	rep  *Report
+	reg  *obs.Registry
+}
+
+var quickRuns sync.Map // experiment ID → *quickRun
+
+// quickReport runs e in quick mode on quickMachine with its own
+// registry, at most once per test binary, and returns the report and
+// the registry.
+func quickReport(e Experiment) (*Report, *obs.Registry) {
+	v, _ := quickRuns.LoadOrStore(e.ID, new(quickRun))
+	r := v.(*quickRun)
+	r.once.Do(func() {
+		r.reg = obs.NewRegistry(e.ID)
+		r.rep = e.Run(&Context{Machine: quickMachine(), Quick: true, Obs: r.reg})
+	})
+	return r.rep, r.reg
+}
 
 func TestSimulatedExperimentsRaceFree(t *testing.T) {
 	// The fully simulated experiments: no host-kernel wall-clock in
@@ -40,12 +67,13 @@ func TestSimulatedExperimentsRaceFree(t *testing.T) {
 	// The sequential pass runs instrumented, one registry per
 	// experiment, so the comparison also proves counters never feed back
 	// into report bodies, and figure2's walker counters can be pinned.
-	m := machine.New(arch.E870())
+	// It is the one TestEveryExperimentPassesQuick already made.
+	seq := make([]*Report, len(subset))
 	regs := make([]*obs.Registry, len(subset))
-	seq := parallel.Map(1, subset, func(i int, e Experiment) *Report {
-		regs[i] = obs.NewRegistry(e.ID)
-		return e.Run(&Context{Machine: m, Quick: true, Obs: regs[i]})
-	})
+	for i, e := range subset {
+		seq[i], regs[i] = quickReport(e)
+	}
+	m := quickMachine()
 	par := parallel.Map(8, subset, func(_ int, e Experiment) *Report {
 		return e.Run(&Context{Machine: m, Quick: true})
 	})

@@ -86,6 +86,32 @@ func TestRunAllQuick(t *testing.T) {
 	}
 }
 
+// TestParallelRunAllMatchesSequential: outside the lines and checks
+// marked as host measurements, which legitimately differ between any
+// two runs, pass B renders every report byte for byte as pass A
+// (goldenText), in the paper's order. TestRunAllQuick holds each pass to
+// the golden; this names the first report where the two passes part.
+func TestParallelRunAllMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads both quick suite passes")
+	}
+	seq, par := seqPass.run(), parPass.run()
+	if len(seq) != len(par) {
+		t.Fatalf("sequential produced %d reports, parallel %d", len(seq), len(par))
+	}
+	for i, e := range Experiments() {
+		if par[i].ID != e.ID {
+			t.Fatalf("parallel report %d is %q, want paper order %q", i, par[i].ID, e.ID)
+		}
+	}
+	for i := range seq {
+		s, p := goldenText(seq[i:i+1]), goldenText(par[i:i+1])
+		if s != p {
+			t.Errorf("%s: sequential and parallel runs differ outside host output:\n  seq:\n%s\n  par:\n%s", seq[i].ID, s, p)
+		}
+	}
+}
+
 // TestObservedCountersDeterministicAndIsolated: every per-experiment
 // counter of both passes matches testdata/quick-paper-counters.golden.
 // A concurrent run thereby scopes exactly the counters a sequential run
