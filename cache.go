@@ -28,8 +28,8 @@ type CacheOptions struct {
 // SuiteCache is safe for concurrent use and may be shared across
 // RunSuite calls; that sharing is the point.
 //
-// What is never cached: FAILED reports (panics, watchdog trips —
-// failure is circumstance, not content), and any
+// What is never cached: FAILED reports (panics — failure is
+// circumstance, not content), and any
 // report from an instrumented run (RunOptions.Stats non-nil), because
 // counters describe the execution that actually happened and a replay
 // would attribute stale counters to a run that did no work.
@@ -72,12 +72,10 @@ func (sc *SuiteCache) Reports() *memo.Cache {
 // requestKey fingerprints everything that determines a report's
 // content. Deliberately absent: the DES shard count (sharded and
 // sequential runs are bit-identical by contract — PR 6 — so a result
-// computed at any shard count serves every other), the worker count
-// (experiments are independent) and the event budget (a budget either
-// trips — FAILED, never cached — or changes nothing). The domain's
-// version moves when the same key would compute different content, so
-// older cache entries are never read: v3 is Figure 10's closed-form
-// projection.
+// computed at any shard count serves every other) and the worker count
+// (experiments are independent). The domain's version moves when the
+// same key would compute different content, so older cache entries are
+// never read: v3 is Figure 10's closed-form projection.
 func requestKey(m *Machine, e Experiment, opts RunOptions) canon.Fingerprint {
 	h := canon.NewHasher("power8/request/v3")
 	h.Fp(canon.Machine(m))
@@ -168,8 +166,8 @@ func (sc *SuiteCache) LoadReport(e Experiment, m *Machine, opts RunOptions) (*Re
 // singleflight (concurrent identical requests — e.g. two warm services
 // racing on the same suite — run the experiment once). A report that
 // failed is returned but never stored, and never satisfies a waiting
-// duplicate: the duplicate reruns under its own budget, so one
-// tripped run cannot poison the group. Any cache-layer error falls
+// duplicate: the duplicate reruns the experiment itself, so one failed
+// run cannot poison the group. Any cache-layer error falls
 // back to a direct run — the cache is an accelerator, not a
 // dependency. The second return reports whether the cache supplied the
 // report (memory, disk, or another caller's in-flight compute) rather

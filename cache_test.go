@@ -91,15 +91,15 @@ func TestSuiteCacheKeySensitivity(t *testing.T) {
 
 // TestRequestKeyShardCountExcluded is the PR-6 contract carried into the
 // cache: sharded and sequential runs are bit-identical, so a report
-// computed at any shard count must serve every other. Worker count and
-// event budget are equally excluded. The kernel worker-team size
+// computed at any shard count must serve every other. Worker count is
+// equally excluded. The kernel worker-team size
 // (-kernelworkers) is included.
 func TestRequestKeyShardCountExcluded(t *testing.T) {
 	m := NewE870()
 	e := Experiment{ID: "x"}
 	base := requestKey(m, e, RunOptions{})
 	same := []RunOptions{
-		{Shards: 1}, {Shards: 8}, {Workers: 3}, {EventBudget: 1 << 20},
+		{Shards: 1}, {Shards: 8}, {Workers: 3},
 	}
 	for _, opts := range same {
 		if requestKey(m, e, opts) != base {
@@ -126,9 +126,8 @@ func TestRequestKeyShardCountExcluded(t *testing.T) {
 	}
 }
 
-// TestSuiteCacheNeverStoresFailed: panics and watchdog trips produce
-// FAILED reports, and none of them may be served to a later identical
-// request.
+// TestSuiteCacheNeverStoresFailed: a panic produces a FAILED report,
+// and it may not be served to a later identical request.
 func TestSuiteCacheNeverStoresFailed(t *testing.T) {
 	m := NewE870()
 
@@ -150,26 +149,6 @@ func TestSuiteCacheNeverStoresFailed(t *testing.T) {
 		}
 		if n := cache.Reports().Len(); n != 0 {
 			t.Errorf("%d failed reports resident in cache, want 0", n)
-		}
-	})
-
-	t.Run("watchdog", func(t *testing.T) {
-		var runs atomic.Int64
-		cache := newTestCache(t, CacheOptions{})
-		e := Experiment{ID: "hang", Run: func(ctx *experiments.Context) *experiments.Report {
-			runs.Add(1)
-			for {
-				ctx.Budget.Charge(1)
-			}
-		}}
-		for i := 0; i < 2; i++ {
-			rep := RunSuite([]Experiment{e}, m, RunOptions{Workers: 1, EventBudget: 100, Cache: cache})[0]
-			if !rep.Failed() {
-				t.Fatal("tripped experiment did not fail")
-			}
-		}
-		if got := runs.Load(); got != 2 {
-			t.Errorf("tripped report was served from cache (%d runs, want 2)", got)
 		}
 	})
 }

@@ -183,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			page = arch.Page16M
 		}
 		// One Figure 2 point: a warm lap, then up to 2M measured accesses.
-		pt := micro.LatencyCurves(m, []arch.PageSize{page}, []units.Bytes{units.Bytes(*ws)}, 2_000_000, reg, nil)[0][0]
+		pt := micro.LatencyCurves(m, []arch.PageSize{page}, []units.Bytes{units.Bytes(*ws)}, 2_000_000, reg)[0][0]
 		fmt.Fprintf(stdout, "chase over %d bytes (%v pages): %.2f ns/access\n", *ws, page, pt.AvgNs)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -24,7 +23,7 @@ type FaultPlan = fault.Plan
 func FaultExperiments() []Experiment { return experiments.DegradationSuite() }
 
 // RunOptions configures a hardened suite run. The zero value runs the
-// suite on all CPUs with no instrumentation, no watchdog and no cache.
+// suite on all CPUs with no instrumentation and no cache.
 type RunOptions struct {
 	// Quick shrinks working sets and scales for fast runs.
 	Quick bool
@@ -32,13 +31,8 @@ type RunOptions struct {
 	Workers int
 	// Stats, when non-nil, instruments the run: every experiment gets a
 	// child scope keyed by its id, and the harness's own counters
-	// (panics recovered, watchdog trips) land under a "harness" scope.
+	// (panics recovered) land under a "harness" scope.
 	Stats *StatsRegistry
-	// EventBudget bounds each experiment: every simulated event
-	// (DES dispatch or walker access) charges one unit, and exhaustion
-	// aborts the experiment with a failed report instead of hanging the
-	// suite. 0 means unlimited.
-	EventBudget uint64
 	// Faults selects the degradation plan for the fault-suite
 	// experiments (nil falls back to their canned default). The paper
 	// suite ignores it.
@@ -71,11 +65,11 @@ type RunOptions struct {
 // RunSuite executes a set of experiments against one machine under the
 // hardened harness contract: every experiment runs isolated (a panic
 // becomes that experiment's failed report, the rest of the suite is
-// unaffected) and optionally watched (event budget).
-// Reports come back in suite order regardless of completion order, one
-// per experiment, always. The Machine is read-only after construction,
-// so one machine is safely shared by every worker and a parallel run
-// produces the same reports as a sequential one.
+// unaffected). Reports come back in suite order regardless of
+// completion order, one per experiment, always. The Machine is
+// read-only after construction, so one machine is safely shared by
+// every worker and a parallel run produces the same reports as a
+// sequential one.
 func RunSuite(suite []Experiment, m *Machine, opts RunOptions) []*Report {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -106,13 +100,9 @@ func runHardened(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, rec
 	return opts.Cache.lookupOrRun(e, m, opts, run)
 }
 
-// runAttempt executes one experiment isolated, with a fresh watchdog
-// budget and its own registry scope.
+// runAttempt executes one experiment isolated, in its own registry
+// scope.
 func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, recordAllocs bool) *Report {
-	var budget *engine.Budget
-	if opts.EventBudget > 0 {
-		budget = engine.NewBudget(opts.EventBudget)
-	}
 	scope := opts.Stats.Child(e.ID) // nil Stats -> nil scope: uninstrumented
 	var m0 runtime.MemStats
 	if opts.Stats != nil && recordAllocs {
@@ -123,7 +113,6 @@ func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, reco
 		Machine: m,
 		Quick:   opts.Quick,
 		Obs:     scope,
-		Budget:  budget,
 		Faults:  opts.Faults,
 		Shards:  opts.Shards,
 	}, h)
@@ -142,9 +131,8 @@ func runAttempt(e Experiment, m *Machine, opts RunOptions, h *obs.Registry, reco
 }
 
 // safeRun executes one experiment, converting panics into
-// failed reports so one broken experiment cannot take down the suite: a
-// tripped watchdog (engine.Trip) becomes a deterministic one-line
-// diagnostic, any other panic keeps its value and stack. This wrapper
+// failed reports so one broken experiment cannot take down the suite:
+// the report's Err keeps the panic's value and stack. This wrapper
 // is the only place in the repository allowed to call recover — the
 // p8lint isolation analyzer enforces that panics elsewhere stay fatal
 // instead of being silently swallowed.
@@ -156,15 +144,8 @@ func safeRun(e Experiment, ctx *experiments.Context, h *obs.Registry) (rep *Repo
 		if cause == nil {
 			return
 		}
-		rep = &Report{ID: e.ID, Title: e.Title}
-		switch t := cause.(type) {
-		case engine.Trip:
-			h.Counter("watchdog_trips").Inc()
-			rep.Err = t.Error()
-		default:
-			h.Counter("panics_recovered").Inc()
-			rep.Err = fmt.Sprintf("panic: %v\n%s", cause, debug.Stack())
-		}
+		h.Counter("panics_recovered").Inc()
+		rep = &Report{ID: e.ID, Title: e.Title, Err: fmt.Sprintf("panic: %v\n%s", cause, debug.Stack())}
 	}()
 	return e.Run(ctx)
 }

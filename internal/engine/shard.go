@@ -46,7 +46,7 @@ import (
 // laneShift positions the lane ID in the top bits of a lane's sequence
 // counter, realizing the canonical (time, lane, sequence) merge order
 // through the existing (at, seq) heap comparison. 2^56 events per lane
-// is beyond any budgeted run.
+// is beyond any simulated run.
 const laneShift = 56
 
 // maxLanes bounds the lane count so lane IDs fit above laneShift.
@@ -87,7 +87,6 @@ type shardTally struct {
 type ShardedSim struct {
 	lanes    []*Sim
 	minDelay Time // the conservative lookahead (cross-shard latency floor)
-	budget   *Budget
 
 	// Round state: written by the coordinator between barriers, read by
 	// the shard workers during a round. workerOf is nil outside
@@ -96,7 +95,6 @@ type ShardedSim struct {
 	perWorker    int
 	roundCut     Time
 	roundHorizon Time
-	roundCap     uint64
 	boxes        [][]mailbox // [sending worker][destination lane]
 	tallies      []shardTally
 
@@ -130,12 +128,6 @@ func NewShardedSim(lanes int, lookahead Time) *ShardedSim {
 	}
 	return ss
 }
-
-// SetBudget attaches a watchdog budget. RunMerged charges it per event
-// exactly like Sim.Run; RunSharded counts per shard and books the sum
-// at each barrier (the single trip point), so only the coordinator
-// goroutine ever touches the budget.
-func (ss *ShardedSim) SetBudget(b *Budget) { ss.budget = b }
 
 // At schedules ev on a lane at absolute time t (not in the lane's
 // past). Use it for initial conditions; events already running on the
@@ -230,7 +222,6 @@ func (ss *ShardedSim) RunMerged(horizon Time) uint64 {
 		next := l.queue.pop()
 		l.now = next.at
 		l.events++
-		ss.budget.Charge(1)
 		l.dispatch(next)
 		n++
 	}
@@ -245,8 +236,8 @@ func (ss *ShardedSim) RunMerged(horizon Time) uint64 {
 //  2. The round horizon is cut = minNextEventTime + lookahead.
 //  3. Each worker merge-executes its own lanes' events with time < cut
 //     (and <= horizon) in canonical order.
-//  4. At the barrier the coordinator books the round's events against
-//     the budget and loops.
+//  4. At the barrier the coordinator tallies the round's events and
+//     loops.
 //
 // The lane owning the minimal event always progresses, so rounds
 // advance until the queues drain or pass the horizon. The worker count
@@ -274,8 +265,7 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 	ss.shardSent = make([]uint64, workers)
 	defer func() {
 		// Outside a sharded run Send routes directly again, and the
-		// mailboxes (all drained here: the barrier Charge is the only
-		// panic source and it fires before new sends) can be collected.
+		// mailboxes can be collected.
 		ss.workerOf = nil
 		ss.boxes = nil
 	}()
@@ -293,13 +283,12 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 		}
 		ss.roundCut = head + ss.minDelay
 		ss.roundHorizon = horizon
-		ss.roundCap = ss.budget.RoundCap()
 		team.StaticFor(workers, body)
 		ss.rounds++
-		var sum, max uint64
+		var max uint64
 		for w := range ss.tallies {
 			ev := ss.tallies[w].events
-			sum += ev
+			total += ev
 			ss.shardEvents[w] += ev
 			if ev == 0 {
 				ss.barrierStalls++
@@ -310,11 +299,6 @@ func (ss *ShardedSim) RunSharded(workers int, horizon Time) uint64 {
 			}
 		}
 		ss.criticalEvents += max
-		total += sum
-		// The single trip point: workers only count, the coordinator
-		// books. A trip panics here, on the experiment's goroutine, where
-		// the harness's isolation wrapper can catch it.
-		ss.budget.Charge(sum)
 	}
 	return total
 }
@@ -360,16 +344,13 @@ func (ss *ShardedSim) runShardBody(_, lo, hi int) {
 }
 
 // runShard merge-executes one shard's lanes in canonical order up to
-// the round cut. It never panics: budget exhaustion is bounded by the
-// round cap, which stops the loop early and leaves the trip to the
-// coordinator's barrier — a worker-goroutine panic would escape the
-// harness's isolation.
+// the round cut.
 //
 //p8:hotpath
 func (ss *ShardedSim) runShard(shard int) {
 	lo := shard * ss.perWorker
 	hi := lo + ss.perWorker
-	cut, horizon, limit := ss.roundCut, ss.roundHorizon, ss.roundCap
+	cut, horizon := ss.roundCut, ss.roundHorizon
 	var n uint64
 	for {
 		best := ss.minLane(lo, hi)
@@ -383,9 +364,6 @@ func (ss *ShardedSim) runShard(shard int) {
 		// same timestamp but a smaller (lane, sequence) key.
 		if at >= cut || (horizon > 0 && at > horizon) {
 			break
-		}
-		if limit > 0 && n >= limit {
-			break // budget exhausted; the barrier charge trips
 		}
 		next := l.queue.pop()
 		l.now = next.at

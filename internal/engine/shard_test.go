@@ -118,90 +118,6 @@ func TestShardedMatchesMergedBitForBit(t *testing.T) {
 	}
 }
 
-func TestShardedBudgetSpentMatchesMerged(t *testing.T) {
-	ref := newShardModel(4, 500)
-	total := ref.ss.RunMerged(0)
-
-	for _, workers := range []int{1, 2, 4} {
-		b := NewBudget(total) // exactly enough: must not trip
-		m := newShardModel(4, 500)
-		m.ss.SetBudget(b)
-		if got := m.ss.RunSharded(workers, 0); got != total {
-			t.Fatalf("%d workers: executed %d events, want %d", workers, got, total)
-		}
-		if b.Spent() != total {
-			t.Errorf("%d workers: budget spent %d, want %d", workers, b.Spent(), total)
-		}
-	}
-}
-
-// tripError runs f and returns the recovered Trip's rendering.
-func tripError(t *testing.T, f func()) string {
-	t.Helper()
-	var msg string
-	func() {
-		defer func() {
-			cause := recover()
-			if cause == nil {
-				t.Fatal("expected a budget Trip, got none")
-			}
-			trip, ok := cause.(Trip)
-			if !ok {
-				t.Fatalf("expected a Trip, got %v", cause)
-			}
-			msg = trip.Error()
-		}()
-		f()
-	}()
-	return msg
-}
-
-func TestShardedTripIdenticalToSequential(t *testing.T) {
-	ref := newShardModel(4, 500)
-	total := ref.ss.RunMerged(0)
-	limit := total / 2
-
-	seq := newShardModel(4, 500)
-	seq.ss.SetBudget(NewBudget(limit))
-	want := tripError(t, func() { seq.ss.RunMerged(0) })
-
-	for _, workers := range []int{1, 2, 4} {
-		m := newShardModel(4, 500)
-		m.ss.SetBudget(NewBudget(limit))
-		got := tripError(t, func() { m.ss.RunSharded(workers, 0) })
-		if got != want {
-			t.Errorf("%d workers: trip %q, want %q", workers, got, want)
-		}
-	}
-}
-
-// TestBudgetRoundCap: a shard round may run the remaining allowance
-// plus the one overflowing event, and the barrier charge of that round
-// trips with the sequential engine's diagnostic.
-func TestBudgetRoundCap(t *testing.T) {
-	var nilBudget *Budget
-	nilBudget.Charge(1 << 40) // nil fast path: must not panic
-	if cap := nilBudget.RoundCap(); cap != 0 {
-		t.Errorf("nil budget round cap %d, want 0 (unlimited)", cap)
-	}
-
-	b := NewBudget(100)
-	b.Charge(60)
-	if b.Spent() != 60 {
-		t.Fatalf("spent %d, want 60", b.Spent())
-	}
-	if cap := b.RoundCap(); cap != 41 {
-		t.Errorf("round cap %d, want remaining+1 = 41", cap)
-	}
-	msg := tripError(t, func() { b.Charge(41) })
-	if msg != (Trip{Events: 100, Limit: 100}).Error() {
-		t.Errorf("overrun rendered %q", msg)
-	}
-	if b.Spent() != 100 {
-		t.Errorf("spent %d after trip, want clamped to 100", b.Spent())
-	}
-}
-
 func TestSendBelowLookaheadPanics(t *testing.T) {
 	ss := NewShardedSim(2, testLookahead)
 	// White-box: pretend a 2-worker round is in flight so lane 0 -> 1

@@ -200,8 +200,8 @@ func runDegPlan(ctx *Context) *Report {
 	if ctx.Quick {
 		horizon = 50_000.0
 	}
-	desH := healthy.SimulateRandomAccessSharded(8, 4, horizon, ctx.Shards, ctx.Obs, ctx.Budget).GBps()
-	desD := degraded.SimulateRandomAccessSharded(8, 4, horizon, ctx.Shards, ctx.Obs, ctx.Budget).GBps()
+	desH := healthy.SimulateRandomAccessSharded(8, 4, horizon, ctx.Shards, ctx.Obs, nil).GBps()
+	desD := degraded.SimulateRandomAccessSharded(8, 4, horizon, ctx.Shards, ctx.Obs, nil).GBps()
 	row("DES random access GB/s", desH, desD, true)
 	r.Note("degraded machine derived through machine.NewDegraded — the healthy Machine is never mutated")
 	return r

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -28,13 +27,6 @@ type Context struct {
 	// never smear together; runners thread it into the walkers and
 	// simulators they build. Nil (the default) runs uninstrumented.
 	Obs *obs.Registry
-	// Budget, when non-nil, is the harness watchdog for this run:
-	// runners thread it into the walkers and DES simulations they
-	// build, each simulated event charges one unit, and exhaustion
-	// aborts the experiment with an engine.Trip panic that the
-	// harness's isolation wrapper converts into a failed report. Nil
-	// (the default) runs unwatched.
-	Budget *engine.Budget
 	// Faults, when non-nil, selects the RAS degradation plan the
 	// fault-suite experiments apply; nil falls back to each
 	// experiment's default canned plan. The paper-suite experiments
@@ -121,10 +113,9 @@ type Report struct {
 	// -stats flag renders it as the per-experiment counter appendix.
 	Stats *obs.Snapshot
 	// Err is the failure diagnostic when the experiment did not
-	// complete: a recovered panic (with stack) or a tripped watchdog
-	// budget. A report with a non-empty Err failed
-	// regardless of its checks; its Lines hold whatever was rendered
-	// before the abort.
+	// complete: a recovered panic with its stack. A report with a
+	// non-empty Err failed regardless of its checks; its Lines hold
+	// whatever was rendered before the abort.
 	Err string
 }
 
@@ -200,8 +191,8 @@ func (r *Report) Passed() bool {
 	return true
 }
 
-// Failed reports whether the experiment aborted (panic or watchdog
-// trip) instead of completing.
+// Failed reports whether the experiment aborted (a panic) instead of
+// completing.
 func (r *Report) Failed() bool { return r.Err != "" }
 
 // Experiment is one table or figure reproduction.

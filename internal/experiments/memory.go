@@ -17,7 +17,7 @@ func runFigure2(ctx *Context) *Report {
 		}
 		maxAccesses = 250_000
 	}
-	curves := micro.LatencyCurves(ctx.Machine, []arch.PageSize{arch.Page64K, arch.Page16M}, sizes, maxAccesses, ctx.Obs, ctx.Budget)
+	curves := micro.LatencyCurves(ctx.Machine, []arch.PageSize{arch.Page64K, arch.Page16M}, sizes, maxAccesses, ctx.Obs)
 	small, huge := curves[0], curves[1]
 	r.Printf("%14s %16s %16s", "working set", "64 KiB pages", "16 MiB pages")
 	for i := range small {

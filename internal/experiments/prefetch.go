@@ -11,7 +11,7 @@ func runFigure6(ctx *Context) *Report {
 	if ctx.Quick {
 		lines = 1 << 15
 	}
-	pts := micro.Figure6(ctx.Machine, lines, ctx.Obs, ctx.Budget)
+	pts := micro.Figure6(ctx.Machine, lines, ctx.Obs)
 	r.Printf("%6s %14s %16s", "DSCR", "latency", "bandwidth")
 	for _, p := range pts {
 		r.Printf("%6d %11.1f ns %12.0f GB/s", p.DSCR, p.LatencyNs, p.Bandwidth.GBps())
@@ -36,7 +36,7 @@ func runFigure7(ctx *Context) *Report {
 	if ctx.Quick {
 		count = 20000
 	}
-	pts := micro.Figure7(ctx.Machine, count, ctx.Obs, ctx.Budget)
+	pts := micro.Figure7(ctx.Machine, count, ctx.Obs)
 	r.Printf("%6s %18s %18s", "DSCR", "stride-N disabled", "stride-N enabled")
 	byDepth := map[int][2]float64{}
 	for _, p := range pts {
@@ -63,7 +63,7 @@ func runFigure8(ctx *Context) *Report {
 	if ctx.Quick {
 		total = 1 << 18
 	}
-	pts := micro.Figure8(ctx.Machine, nil, total, ctx.Obs, ctx.Budget)
+	pts := micro.Figure8(ctx.Machine, nil, total, ctx.Obs)
 	r.Printf("%12s %16s %16s %10s", "block size", "w/o DCBT", "with DCBT", "gain")
 	var small, large micro.DCBTPoint
 	for _, p := range pts {

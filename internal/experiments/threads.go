@@ -42,7 +42,7 @@ func runFigure4(ctx *Context) *Report {
 		if ctx.Quick {
 			horizon = 50_000.0
 		}
-		ctx.Machine.SimulateRandomAccessSharded(8, 4, horizon, ctx.Shards, ctx.Obs, ctx.Budget)
+		ctx.Machine.SimulateRandomAccessSharded(8, 4, horizon, ctx.Shards, ctx.Obs, nil)
 	}
 	return r
 }

@@ -54,10 +54,15 @@ func AutoShards(spec *arch.SystemSpec, maxWorkers int) int {
 // message, so any shard count produces bit-identical bandwidth,
 // completions and event counts (enforced by TestShardedDESBitIdentity).
 //
-// A nil registry runs unobserved; a nil budget runs unwatched. Like
-// the pooled variant, invalid parameters panic — CLI front-ends
-// pre-validate -shards against the topology.
-func (m *Machine) SimulateRandomAccessSharded(threads, streams int, horizonNs float64, shards int, reg *obs.Registry, budget *engine.Budget) units.Bandwidth {
+// A nil registry runs unobserved. Like the pooled variant, invalid
+// parameters panic — CLI front-ends pre-validate -shards against the
+// topology.
+//
+// The trailing parameter is ignored; every caller passes nil. It keeps
+// the call in cmd/p8bench's machine.des probe, which is the fixed
+// benchmark and passes nil there, compiling. The next change that edits
+// cmd/p8bench drops the argument there and removes the parameter.
+func (m *Machine) SimulateRandomAccessSharded(threads, streams int, horizonNs float64, shards int, reg *obs.Registry, _ any) units.Bandwidth {
 	if threads <= 0 || streams <= 0 || horizonNs <= 0 {
 		panic(fmt.Sprintf("machine: invalid DES parameters %d/%d/%g", threads, streams, horizonNs))
 	}
@@ -96,7 +101,6 @@ func (m *Machine) SimulateRandomAccessSharded(threads, streams int, horizonNs fl
 	lookahead := engine.Time(m.Net.MinCrossLatencyNs(shardOf))
 
 	ss := engine.NewShardedSim(chips, lookahead)
-	ss.SetBudget(budget)
 
 	// Precompute hop latencies: the issue path must not call into the
 	// fabric model per access.

@@ -3,7 +3,6 @@ package machine
 import (
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
@@ -26,7 +25,6 @@ type LaneWalker struct {
 	stride strideTracker
 	lanes  []lane
 	obs    *obs.Registry
-	budget *engine.Budget
 }
 
 // lane is one page size's view of a LaneWalker's stream.
@@ -38,11 +36,9 @@ type lane struct {
 
 // NewLaneWalker builds a lane walker with one lane per page, in order.
 // A non-nil reg receives each lane's counters under a "walker" child
-// scope, with the names and values a Walker per page would publish; a
-// non-nil budget is charged one unit per lane per access, as that many
-// walkers would charge it.
-func (m *Machine) NewLaneWalker(pages []arch.PageSize, reg *obs.Registry, budget *engine.Budget) *LaneWalker {
-	w := &LaneWalker{m: m, hier: m.newHierarchy(), stride: newStrideTracker(), lanes: make([]lane, len(pages)), obs: reg, budget: budget}
+// scope, with the names and values a Walker per page would publish.
+func (m *Machine) NewLaneWalker(pages []arch.PageSize, reg *obs.Registry) *LaneWalker {
+	w := &LaneWalker{m: m, hier: m.newHierarchy(), stride: newStrideTracker(), lanes: make([]lane, len(pages)), obs: reg}
 	for i, page := range pages {
 		w.lanes[i].xl = m.newTranslator(page)
 	}
@@ -58,7 +54,6 @@ func (m *Machine) NewLaneWalker(pages []arch.PageSize, reg *obs.Registry, budget
 //
 //p8:hotpath
 func (w *LaneWalker) access(addr uint64) {
-	w.budget.Charge(uint64(len(w.lanes)))
 	strided := w.stride.next(addr)
 	level := w.hier.Read(addr&^uint64(trace.LineSize-1), true)
 	levelNs := w.m.levelLatencyNs(0, level, 0, strided)

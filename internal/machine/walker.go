@@ -3,7 +3,6 @@ package machine
 import (
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/tlb"
@@ -44,10 +43,6 @@ type WalkerConfig struct {
 	// flushes deltas at Run boundaries (or on PublishStats), so a nil
 	// registry — the default — leaves the hot path untouched.
 	Obs *obs.Registry
-	// Budget, when non-nil, is charged one unit per access and trips
-	// the harness watchdog (panics with engine.Trip) when exhausted.
-	// Nil — the default — costs one branch per access.
-	Budget *engine.Budget
 }
 
 // Walker simulates one hardware thread's dependent-load accesses with
@@ -208,7 +203,6 @@ func (m *Machine) levelLatencyNs(chip arch.ChipID, level cache.Level, home arch.
 //
 //p8:hotpath
 func (w *Walker) Access(addr uint64) float64 {
-	w.cfg.Budget.Charge(1)
 	latency := w.xl.ns(addr, &w.n)
 
 	line := addr &^ uint64(trace.LineSize-1)

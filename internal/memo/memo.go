@@ -14,10 +14,9 @@
 //
 //   - Non-storable results never enter the cache and never satisfy
 //     waiters: a compute that reports its bytes non-storable (a FAILED
-//     report, a watchdog trip) returns them to its own caller only, and
-//     every waiter retries with its own compute. A tripped run
-//     therefore cannot poison the group — the other requests redo the
-//     work under their own budgets.
+//     report) returns them to its own caller only, and every waiter
+//     retries with its own compute. A failed run therefore cannot
+//     poison the group — the other requests redo the work themselves.
 //
 //   - A compute that panics is detached before the panic propagates:
 //     the inflight slot is removed and waiters retry. Panic isolation

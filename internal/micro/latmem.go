@@ -9,7 +9,6 @@ package micro
 
 import (
 	"repro/internal/arch"
-	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -45,14 +44,13 @@ func Figure2Sizes() []units.Bytes {
 // walked once per lap through a machine.LaneWalker, one lane per page
 // size, reset between working sets. A non-nil reg aggregates every
 // point's walker counters, one simulated thread per page size (nil runs
-// uninstrumented); a non-nil budget charges one unit per access per page
-// size and trips the harness watchdog when exhausted.
-func LatencyCurves(m *machine.Machine, pages []arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry, budget *engine.Budget) [][]LatPoint {
+// uninstrumented).
+func LatencyCurves(m *machine.Machine, pages []arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry) [][]LatPoint {
 	curves := make([][]LatPoint, len(pages))
 	for p := range curves {
 		curves[p] = make([]LatPoint, 0, len(sizes))
 	}
-	w := m.NewLaneWalker(pages, reg, budget)
+	w := m.NewLaneWalker(pages, reg)
 	for _, ws := range sizes {
 		lines := int(ws / 128)
 		if lines < 2 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -15,7 +14,7 @@ import (
 // latencyCurvesPerPage is the reference LatencyCurves: a fresh Walker
 // for every working set and page size, each with its own cache
 // hierarchy. LatencyCurves must reproduce it bit for bit.
-func latencyCurvesPerPage(m *machine.Machine, pages []arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry, budget *engine.Budget) [][]LatPoint {
+func latencyCurvesPerPage(m *machine.Machine, pages []arch.PageSize, sizes []units.Bytes, maxAccesses int, reg *obs.Registry) [][]LatPoint {
 	curves := make([][]LatPoint, len(pages))
 	for p := range curves {
 		curves[p] = make([]LatPoint, 0, len(sizes))
@@ -27,7 +26,7 @@ func latencyCurvesPerPage(m *machine.Machine, pages []arch.PageSize, sizes []uni
 		}
 		chase := trace.NewChase(0, lines, 1, 42)
 		for p, page := range pages {
-			w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg, Budget: budget})
+			w := m.NewWalker(machine.WalkerConfig{Page: page, DisablePrefetch: true, Obs: reg})
 			chase.Reset()
 			w.Run(chase, 0)
 			chase.Reset()
@@ -59,8 +58,8 @@ func TestLatencyCurvesMatchWalkerPerPage(t *testing.T) {
 	// largest working set down to smaller ones.
 	sizes := append(append([]units.Bytes{}, quickFigure2Sizes...), 3*units.MiB, 4*units.MiB, 128*units.MiB)
 	gotReg, wantReg := obs.NewRegistry("figure2"), obs.NewRegistry("figure2")
-	got := LatencyCurves(m, figure2Pages, sizes, 250_000, gotReg, nil)
-	want := latencyCurvesPerPage(m, figure2Pages, sizes, 250_000, wantReg, nil)
+	got := LatencyCurves(m, figure2Pages, sizes, 250_000, gotReg)
+	want := latencyCurvesPerPage(m, figure2Pages, sizes, 250_000, wantReg)
 	for p := range want {
 		if len(got[p]) != len(sizes) {
 			t.Fatalf("page %v: %d points, want %d", figure2Pages[p], len(got[p]), len(sizes))
@@ -77,46 +76,6 @@ func TestLatencyCurvesMatchWalkerPerPage(t *testing.T) {
 	}
 }
 
-// TestLatencyCurvesBudget runs a reduced Figure 2 sweep under budgets
-// of exactly its total charge and one less: both paths must complete on
-// the first and trip on the second, so the lane walker charges what the
-// per-page walkers charge.
-func TestLatencyCurvesBudget(t *testing.T) {
-	m := e870()
-	sizes := []units.Bytes{32 * units.KiB, 2 * units.MiB, 6 * units.MiB}
-	reg := obs.NewRegistry("figure2")
-	latencyCurvesPerPage(m, figure2Pages, sizes, 20_000, reg, nil)
-	total := reg.Snapshot().CounterMap()["figure2/walker/accesses"]
-	if total == 0 {
-		t.Fatal("no accesses counted")
-	}
-	paths := map[string]func(*engine.Budget){
-		"lanes": func(b *engine.Budget) { LatencyCurves(m, figure2Pages, sizes, 20_000, nil, b) },
-		"per-page walkers": func(b *engine.Budget) {
-			latencyCurvesPerPage(m, figure2Pages, sizes, 20_000, nil, b)
-		},
-	}
-	for name, run := range paths {
-		for _, limit := range []uint64{total, total - 1} {
-			tripped := func() (tripped bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(engine.Trip); !ok {
-							panic(r)
-						}
-						tripped = true
-					}
-				}()
-				run(engine.NewBudget(limit))
-				return false
-			}()
-			if want := limit < total; tripped != want {
-				t.Errorf("%s under a budget of %d of %d accesses: tripped = %v, want %v", name, limit, total, tripped, want)
-			}
-		}
-	}
-}
-
 // BenchmarkLatencyCurvesQuick runs the quick Figure 2 sweep, both page
 // sizes. allocs/op counts the walker, the chases and the result slices
 // only: the lane loop allocates nothing per access.
@@ -125,7 +84,7 @@ func BenchmarkLatencyCurvesQuick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LatencyCurves(m, figure2Pages, quickFigure2Sizes, 250_000, nil, nil)
+		LatencyCurves(m, figure2Pages, quickFigure2Sizes, 250_000, nil)
 	}
 	// Per page: a full warm lap, then at most 250,000 measured accesses.
 	var accesses int

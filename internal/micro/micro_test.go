@@ -23,7 +23,7 @@ func TestFigure2CurveShape(t *testing.T) {
 		32 * units.KiB, 256 * units.KiB, 2 * units.MiB,
 		32 * units.MiB, 120 * units.MiB, 384 * units.MiB,
 	}
-	small := LatencyCurves(m, []arch.PageSize{arch.Page64K}, sizes, 300000, nil, nil)[0]
+	small := LatencyCurves(m, []arch.PageSize{arch.Page64K}, sizes, 300000, nil)[0]
 	if len(small) != len(sizes) {
 		t.Fatalf("points = %d", len(small))
 	}
@@ -33,7 +33,7 @@ func TestFigure2CurveShape(t *testing.T) {
 				small[i-1].AvgNs, small[i].AvgNs, small[i].WorkingSet)
 		}
 	}
-	huge := LatencyCurves(m, []arch.PageSize{arch.Page16M}, sizes[len(sizes)-1:], 300000, nil, nil)[0]
+	huge := LatencyCurves(m, []arch.PageSize{arch.Page16M}, sizes[len(sizes)-1:], 300000, nil)[0]
 	if huge[0].AvgNs >= small[len(small)-1].AvgNs {
 		t.Error("huge pages not faster at 384 MiB")
 	}
@@ -167,7 +167,7 @@ func TestFigure5Surface(t *testing.T) {
 // TestFigure6DepthSweep: deepest prefetch gives the lowest latency and
 // the highest bandwidth (the Figure 6 conclusion).
 func TestFigure6DepthSweep(t *testing.T) {
-	pts := Figure6(e870(), 1<<16, nil, nil)
+	pts := Figure6(e870(), 1<<16, nil)
 	if len(pts) != 7 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -188,7 +188,7 @@ func TestFigure6DepthSweep(t *testing.T) {
 // TestFigure7StrideN: ~50 ns with detection off, ~14 ns at the deepest
 // depth with it on.
 func TestFigure7StrideN(t *testing.T) {
-	pts := Figure7(e870(), 40000, nil, nil)
+	pts := Figure7(e870(), 40000, nil)
 	if len(pts) != 14 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -213,7 +213,7 @@ func TestFigure7StrideN(t *testing.T) {
 // TestFigure8DCBT: >25% gain on small blocks, negligible on large ones.
 func TestFigure8DCBT(t *testing.T) {
 	m := e870()
-	pts := Figure8(m, []units.Bytes{1 * units.KiB, 512 * units.KiB}, 1<<19, nil, nil)
+	pts := Figure8(m, []units.Bytes{1 * units.KiB, 512 * units.KiB}, 1<<19, nil)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}

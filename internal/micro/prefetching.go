@@ -2,7 +2,6 @@ package micro
 
 import (
 	"repro/internal/arch"
-	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/prefetch"
@@ -23,7 +22,7 @@ type DSCRPoint struct {
 // per-thread rate to two threads per core (as in Figure 8: at full SMT
 // even the prefetch-free scan would saturate the links and the depth
 // effect would vanish into the ceiling), capped by the 2:1 link bound.
-func Figure6(m *machine.Machine, lines int, reg *obs.Registry, budget *engine.Budget) []DSCRPoint {
+func Figure6(m *machine.Machine, lines int, reg *obs.Registry) []DSCRPoint {
 	const threadsPerCore = 2
 	if lines <= 0 {
 		lines = 1 << 17
@@ -34,7 +33,6 @@ func Figure6(m *machine.Machine, lines int, reg *obs.Registry, budget *engine.Bu
 		w := m.NewWalker(machine.WalkerConfig{
 			Prefetch: prefetch.Config{DSCR: dscr},
 			Obs:      reg,
-			Budget:   budget,
 		})
 		res := w.Run(trace.NewSequential(0, lines), 0)
 		total := float64(res.ThreadBandwidth()) * float64(threads)
@@ -61,7 +59,7 @@ type StridePoint struct {
 // Figure7 sweeps DSCR depths for a stride-256 stream with the stride-N
 // facility enabled and disabled. Huge pages keep TLB walks out of the
 // measurement, as in the paper's setup.
-func Figure7(m *machine.Machine, count int, reg *obs.Registry, budget *engine.Budget) []StridePoint {
+func Figure7(m *machine.Machine, count int, reg *obs.Registry) []StridePoint {
 	if count <= 0 {
 		count = 50000
 	}
@@ -72,7 +70,6 @@ func Figure7(m *machine.Machine, count int, reg *obs.Registry, budget *engine.Bu
 				Page:     arch.Page16M,
 				Prefetch: prefetch.Config{DSCR: dscr, StrideN: strideN},
 				Obs:      reg,
-				Budget:   budget,
 			})
 			res := w.Run(trace.NewStrided(0, 256, count), 0)
 			out = append(out, StridePoint{DSCR: dscr, StrideN: strideN, LatencyNs: res.AvgNs()})
@@ -96,7 +93,7 @@ type DCBTPoint struct {
 // saturates the read links and the DCBT effect disappears into the
 // ceiling; the paper's sub-saturation percentages imply a moderate
 // thread count.
-func Figure8(m *machine.Machine, blockBytes []units.Bytes, totalLines int, reg *obs.Registry, budget *engine.Budget) []DCBTPoint {
+func Figure8(m *machine.Machine, blockBytes []units.Bytes, totalLines int, reg *obs.Registry) []DCBTPoint {
 	const threadsPerCore = 2
 	if totalLines <= 0 {
 		totalLines = 1 << 20
@@ -114,8 +111,8 @@ func Figure8(m *machine.Machine, blockBytes []units.Bytes, totalLines int, reg *
 		if blockLines < 1 {
 			continue
 		}
-		plain := dcbtRun(m, totalLines, blockLines, false, reg, budget)
-		hint := dcbtRun(m, totalLines, blockLines, true, reg, budget)
+		plain := dcbtRun(m, totalLines, blockLines, false, reg)
+		hint := dcbtRun(m, totalLines, blockLines, true, reg)
 		threads := threadsPerCore * m.Spec.TotalCores()
 		out = append(out, DCBTPoint{
 			BlockBytes: bb,
@@ -138,13 +135,13 @@ func systemStreamReadOnly(m *machine.Machine, perThread units.Bandwidth, threads
 
 // dcbtRun scans randomly ordered blocks on one walker thread, optionally
 // issuing a DCBT hint at each block start, and returns the thread's rate.
-func dcbtRun(m *machine.Machine, totalLines, blockLines int, hint bool, reg *obs.Registry, budget *engine.Budget) units.Bandwidth {
+func dcbtRun(m *machine.Machine, totalLines, blockLines int, hint bool, reg *obs.Registry) units.Bandwidth {
 	blocks := totalLines / blockLines
 	if blocks < 2 {
 		blocks = 2
 	}
 	g := trace.NewBlockedRandom(0, blocks, blockLines, 7)
-	w := m.NewWalker(machine.WalkerConfig{Obs: reg, Budget: budget})
+	w := m.NewWalker(machine.WalkerConfig{Obs: reg})
 	var accesses uint64
 	var totalNs float64
 	for {

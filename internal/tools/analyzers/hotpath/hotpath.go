@@ -26,8 +26,8 @@
 // in the load set — is held to the same rules, with two differences:
 // sync (locks block and their slow path allocates) is banned, and
 // sync/atomic is allowed, because the flush targets of the "accumulate
-// in plain fields, flush at the end" idiom — obs counters, the
-// cross-shard event Budget — are atomic by design and by benchmark. An
+// in plain fields, flush at the end" idiom — obs counters — are atomic
+// by design and by benchmark. An
 // offense in a callee is reported at the call inside the annotated
 // function that starts the chain, with the chain; one finding per
 // (call, offending function).
